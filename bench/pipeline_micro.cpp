@@ -110,58 +110,16 @@ BM_SchedulerThroughput(benchmark::State &state)
 BENCHMARK(BM_SchedulerThroughput)->Arg(1 << 14);
 
 void
-BM_ShardedTimestep(benchmark::State &state)
-{
-    // Wall-clock scaling of the sharded engine on a large-fabric
-    // acoustic workload (24x24 PEs); the argument is SimOptions::
-    // threads. Results are cycle-identical across thread counts (see
-    // the ShardedDeterminism suite); only host time changes. On a
-    // single-core container the >1-thread runs serialize and mainly
-    // measure barrier overhead.
-    const int threads = static_cast<int>(state.range(0));
-    fe::Benchmark bench = fe::makeAcoustic(24, 24, 8, 128);
-    ir::Context ctx;
-    dialects::registerAllDialects(ctx);
-    ir::OwningOp module = bench.program.emit(ctx);
-    transforms::runPipeline(module.get());
-    for (auto _ : state) {
-        wse::Simulator sim(wse::ArchParams::wse3(), 24, 24,
-                           wse::SimOptions{threads});
-        interp::CslProgramInstance instance(sim, module.get());
-        auto init = bench.init;
-        instance.setFieldInit("p", [init](int x, int y, int z) {
-            return init(0, x, y, z);
-        });
-        instance.configure();
-        instance.launch();
-        sim.run(4000000000ULL);
-        benchmark::DoNotOptimize(sim.now());
-    }
-    state.SetLabel("acoustic 24x24");
-    // Not "threads": that key is google-benchmark's own JSON field.
-    state.counters["sim_threads"] = threads;
-}
-BENCHMARK(BM_ShardedTimestep)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_ShardedTimestep2D(benchmark::State &state)
 {
     // The paper-scale trajectory bench: a 96x96 acoustic grid under
-    // different shard tilings and scheduler policies. Args:
-    // (rows, cols, threads, adaptive). Row 0/0 encodes the sequential
-    // baseline. Results are bit-identical across every row (pinned by
-    // ShardedScale.Acoustic96Grid); on a 1-core container the parallel
-    // rows mainly price the window/steal machinery, and the adaptive
-    // rows show the barrier-collapse win.
+    // different shard tilings. Args: (rows, cols, threads). Row 0/0
+    // encodes the sequential baseline. Results are bit-identical across
+    // every row (pinned by ShardedScale.Acoustic96Grid); only host time
+    // changes with the tiling.
     const int rows = static_cast<int>(state.range(0));
     const int cols = static_cast<int>(state.range(1));
     const int threads = static_cast<int>(state.range(2));
-    const bool adaptive = state.range(3) != 0;
     fe::Benchmark bench = fe::makeAcoustic(96, 96, 2, 8);
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
@@ -171,7 +129,6 @@ BM_ShardedTimestep2D(benchmark::State &state)
     for (auto _ : state) {
         wse::SimOptions options{threads};
         options.shardGrid = {rows, cols};
-        options.adaptiveWindow = adaptive;
         wse::Simulator sim(wse::ArchParams::wse3(), 96, 96, options);
         interp::CslProgramInstance instance(sim, module.get());
         auto init = bench.init;
@@ -188,16 +145,15 @@ BM_ShardedTimestep2D(benchmark::State &state)
                              : "acoustic 96x96 tiled");
     state.counters["shard_rows"] = rows;
     state.counters["shard_cols"] = cols;
+    // Not "threads": that key is google-benchmark's own JSON field.
     state.counters["sim_threads"] = threads;
-    state.counters["adaptive"] = adaptive ? 1 : 0;
     state.counters["windows"] = static_cast<double>(windows);
 }
 BENCHMARK(BM_ShardedTimestep2D)
-    ->Args({0, 0, 1, 1})  // sequential baseline
-    ->Args({1, 4, 4, 1})  // 1-D strips
-    ->Args({2, 2, 4, 1})  // square tiles
-    ->Args({2, 2, 4, 0})  // square tiles, fixed one-hop windows
-    ->Args({4, 4, 4, 1})  // over-decomposed: stealing active
+    ->Args({0, 0, 1})  // sequential baseline
+    ->Args({1, 4, 4})  // 1-D strips
+    ->Args({2, 2, 4})  // square tiles
+    ->Args({4, 4, 4})  // over-decomposed: 4 shards per worker
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -1,7 +1,7 @@
 /**
  * Large-grid acoustic scenario: the paper-scale sharded-simulation
- * trajectory (2-D shard tiles, adaptive conservative windows, work
- * stealing). Runs a 96x96-PE acoustic wave kernel — the README scenario
+ * trajectory (2-D shard tiles, one-hop conservative windows). Runs a
+ * 96x96-PE acoustic wave kernel — the README scenario
  * table's large-grid row — under several tilings and prints the
  * scheduler telemetry next to the (identical) simulation results.
  *
@@ -29,7 +29,6 @@ struct Config
     const char *label;
     wse::ShardGrid grid;
     int threads;
-    bool adaptive;
 };
 
 void
@@ -38,7 +37,6 @@ runConfig(const Config &cfg, const fe::Benchmark &bench,
 {
     wse::SimOptions options{cfg.threads};
     options.shardGrid = cfg.grid;
-    options.adaptiveWindow = cfg.adaptive;
     wse::Simulator sim(wse::ArchParams::wse3(), n, n, options);
     interp::CslProgramInstance instance(sim, module);
     auto init = bench.init;
@@ -50,15 +48,11 @@ runConfig(const Config &cfg, const fe::Benchmark &bench,
     wse::Cycles final = sim.run(4000000000ULL);
     wse::ShardingTelemetry t = sim.telemetry();
     printf("  %-24s %2dx%-2d tiles  cycles=%-8llu events=%-10llu "
-           "windows=%-8llu avg_window=%-5.1f steals=%llu\n",
+           "windows=%llu\n",
            cfg.label, sim.shardRows(), sim.shardCols(),
            static_cast<unsigned long long>(final),
            static_cast<unsigned long long>(sim.stats().eventsProcessed),
-           static_cast<unsigned long long>(t.windows),
-           t.windows ? static_cast<double>(t.windowCycles) /
-                           static_cast<double>(t.windows)
-                     : 0.0,
-           static_cast<unsigned long long>(t.steals));
+           static_cast<unsigned long long>(t.windows));
 }
 
 } // namespace
@@ -84,13 +78,12 @@ main()
 
     // Every row simulates the same wafer: cycles and events are
     // bit-identical by the sharded determinism contract — only the
-    // scheduler telemetry (windows, steals) changes with the tiling.
+    // scheduler telemetry (windows) changes with the tiling.
     const Config configs[] = {
-        {"sequential", {1, 1}, 1, true},
-        {"1-D strips", {1, 4}, 4, true},
-        {"2x2 tiles (fixed win)", {2, 2}, 4, false},
-        {"2x2 tiles (adaptive)", {2, 2}, 4, true},
-        {"4x4 tiles, 4 workers", {4, 4}, 4, true},
+        {"sequential", {1, 1}, 1},
+        {"1-D strips", {1, 4}, 4},
+        {"2x2 tiles", {2, 2}, 4},
+        {"4x4 tiles, 4 workers", {4, 4}, 4},
     };
     for (const Config &cfg : configs)
         runConfig(cfg, bench, module.get(), n);

@@ -114,9 +114,9 @@ class PayloadRef
 
 /**
  * Per-shard ring of payload slots. acquire() is called only by the
- * worker currently executing the owning shard's window (single
- * consumer — the claim flag gives exactly one worker the shard per
- * window, and the window barrier orders hand-offs between workers);
+ * worker executing the owning shard's window (single consumer — the
+ * static deal gives each shard exactly one worker, and the window
+ * barrier orders successive windows);
  * releases may come from any shard that held the final delivery
  * reference (multi-producer).
  */

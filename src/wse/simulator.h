@@ -17,32 +17,23 @@
  * hopCycles) in parallel. Cross-shard events travel through per-pair
  * SPSC outboxes that are drained into the target heaps at the window
  * barrier (the barrier itself provides the memory synchronisation, so
- * the mailboxes are plain vectors). With SimOptions::adaptiveWindow the
- * barrier completion widens the window beyond one hop: each shard keeps
- * a min-heap of bounds `at + boundaryDistance(owner) * hopCycles` over
- * its pending events, and the next window ends at the smallest bound —
- * events deep inside a tile cannot influence another shard for at least
- * that many cycles, so idle boundaries stop throttling the wafer (safety
- * argument in docs/architecture.md §4).
+ * the mailboxes are plain vectors); the drain asserts that no mail lands
+ * inside the window that just closed.
  *
- * Work stealing (SimOptions::workStealing) decouples shard count from
- * worker count: within a window, every shard whose queue intersects the
- * window becomes a claimable unit of work. Workers drain their own
- * affinity queue then steal whole shard-windows from other workers via
- * an atomic claim flag. Because the window bound already guarantees no
- * cross-shard arrival lands inside the current window, shard-windows
- * are mutually independent and WHICH thread executes one cannot change
- * any result — per-shard clocks, sequence counters and heaps travel
- * with the shard, not the worker.
+ * Shards are dealt statically to workers: worker w executes the
+ * shard-windows of shards w, w + threads, w + 2 * threads, ..., skipping
+ * shards with nothing due in the window. Shard-windows are mutually
+ * independent, so the shard count may exceed the worker count without
+ * changing any result.
  *
  * Determinism: events are ordered by (cycle, owner PE, creator PE,
  * per-creator sequence). The owner is the PE whose state the event
  * mutates (all mutable simulator state is owner-partitioned), the
  * creator is the PE whose event scheduled it, and the sequence numbers
  * each creator's creations. This key is independent of thread
- * interleaving, of the tiling and of window policy, so a threads=N run
- * under any shardGrid is cycle-identical and SimStats-identical to the
- * threads=1 run — pinned by the `sharded` test suite and the golden
+ * interleaving and of the tiling, so a threads=N run under any
+ * shardGrid is cycle-identical and SimStats-identical to the threads=1
+ * run — pinned by the `sharded` test suite and the golden
  * cycle counts.
  *
  * The schedule/run path is allocation-free for inline-sized callbacks:
@@ -60,7 +51,6 @@
 #ifndef WSC_WSE_SIMULATOR_H
 #define WSC_WSE_SIMULATOR_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -140,37 +130,12 @@ struct SimOptions
      * parallelism/boundary-traffic trade-off.
      */
     ShardGrid shardGrid;
-
-    /**
-     * Let the window barrier pick the largest provably-safe window from
-     * the pending events' distances to their tile boundaries instead of
-     * the fixed one-hop minimum. Purely a scheduling policy: results
-     * stay bit-identical, barrier count drops sharply when activity sits
-     * away from the active boundaries.
-     */
-    bool adaptiveWindow = true;
-
-    /**
-     * Let idle workers steal whole ready shard-windows from busy
-     * workers inside a window (claim-flag protected, deterministic
-     * results at any thread count). Only meaningful when the shard
-     * count exceeds the worker count or load is skewed.
-     */
-    bool workStealing = true;
-
-    /**
-     * Adaptive-window horizon: events farther than this many hops from
-     * every tile boundary are not distance-tracked; the window is then
-     * bounded by `globalMin + maxWindowHops * hopCycles`. Larger values
-     * track more events for wider windows; must be >= 1.
-     */
-    int maxWindowHops = 256;
 };
 
 /**
  * Scheduler-level counters of the most recent run (merged across
  * shards by Simulator::telemetry()). These describe HOW the run was
- * executed — windows, steals, allocation behaviour — never WHAT it
+ * executed — windows, allocation behaviour — never WHAT it
  * computed; every field may vary with threads/tiling while the
  * simulation results stay bit-identical.
  */
@@ -178,12 +143,12 @@ struct ShardingTelemetry
 {
     /** Barrier windows executed (0 for the sequential path). */
     uint64_t windows = 0;
-    /** Sum of window lengths in cycles (windows * hopCycles when
-     *  adaptiveWindow is off). */
+    /** Sum of window lengths in cycles (always windows * hopCycles). */
     Cycles windowCycles = 0;
-    /** Shard-windows executed (claims, including by the home worker). */
+    /** Shard-windows executed (shards with events due in a window). */
     uint64_t shardWindowsRun = 0;
-    /** Shard-windows claimed by a non-home worker. */
+    /** Always 0: shards are dealt statically, nothing is stolen. Kept so
+     *  existing readers of the telemetry stay source-compatible. */
     uint64_t steals = 0;
     /** Cross-shard outbox lane growths (capacity reallocations). Steady
      *  state is 0: lanes are cleared, never shrunk, between windows. */
@@ -363,10 +328,8 @@ class Simulator;
 /**
  * One shard tile: a private event queue plus the per-shard resources
  * its PEs touch on the hot path (stats, payload ring, fabric hop
- * counter). All members are accessed only by the worker currently
- * executing this shard's window (exclusive via the claim flag; a
- * different worker may execute each window, with the window barrier
- * ordering the hand-off) or by the host thread while no run is active.
+ * counter). All members are accessed only by the shard's worker while
+ * a window executes, or by the host thread while no run is active.
  * Cross-shard event creation goes through the outboxes, drained at
  * window barriers.
  */
@@ -446,29 +409,10 @@ class Shard
         return a.seq < b.seq;
     }
 
-    /**
-     * Adaptive-window bookkeeping: one entry per distance-tracked
-     * pending event. `bound = at + boundaryDist(owner) * hopCycles` is
-     * the earliest cycle at which the event could influence another
-     * shard; the min over all live bounds is this shard's window cap.
-     * Entries of executed events are purged lazily from the heap top
-     * (a stale entry can only shrink a window, never widen it).
-     */
-    struct Constraint
-    {
-        Cycles bound;
-        Cycles eventAt;
-    };
-
     void pushKeyed(uint64_t ownerCreator, uint64_t seq, Cycles at,
                    EventCallback fn);
     void siftUp(size_t i);
     void siftDown(size_t i);
-    /** Drop constraint-heap tops whose events executed (at < before). */
-    void purgeConstraints(Cycles before);
-    /** Smallest live constraint bound, or kNoBound when untracked. */
-    Cycles constraintBound() const;
-    static constexpr Cycles kNoBound = ~Cycles{0};
     /** Execute events with at < end; returns early (leaving events
      *  queued) once the budget is spent — the caller diagnoses. */
     void runWindow(Cycles end, uint64_t maxEvents);
@@ -497,10 +441,8 @@ class Shard
     std::vector<std::vector<MailEntry>> outbox_;
     /** Events executed in the current run (budget accounting). */
     uint64_t processed_ = 0;
-    /** True in adaptive parallel runs: pushKeyed records constraints. */
-    bool trackConstraints_ = false;
-    /** Min-heap (by bound) of adaptive-window constraints. */
-    std::vector<Constraint> constraints_;
+    /** Windows in which this shard had events due (ShardingTelemetry). */
+    uint64_t windowsRun_ = 0;
     /** Outbox lane capacity growths (ShardingTelemetry). */
     uint64_t outboxReallocs_ = 0;
     /** Wavelet-hops injected by this shard's links (fabric statistic). */
@@ -651,23 +593,8 @@ class Simulator
     /** Resolve options_.shardGrid (auto-derivation, clamping) and the
      *  worker count; called once from the constructor. */
     void resolveSharding();
-    /** Precompute per-owner adaptive-window latencies (boundary
-     *  distance x lookahead; 0 = untracked). */
-    void buildConstraintLatencies();
-    /** Bound = at + constraintLat; 0 means the owner is untracked. */
-    Cycles
-    constraintLat(uint32_t owner) const
-    {
-        return peConstraintLat_[owner];
-    }
-    /** Run every shard-window assigned to (or stolen by) worker `w`. */
+    /** Run the shard-windows dealt to worker `w` (shards w, w + N, ...). */
     void runAssignedShards(int w, Cycles windowEnd, uint64_t maxEvents);
-    /** Claim shard s for this window; true for exactly one caller. */
-    bool
-    claimShard(uint32_t s)
-    {
-        return !claimed_[s].exchange(true, std::memory_order_acq_rel);
-    }
 
     /** Push the fault plan's PE thresholds / fabric tables out. */
     void applyFaultPlan();
@@ -696,27 +623,9 @@ class Simulator
      *  band. rows=1 degenerates to the classic column strips. */
     std::vector<int> tileOfCol_;
     std::vector<int> tileOfRow_;
-    /**
-     * Adaptive-window latency per owner id (numPes_ + 1 entries; the
-     * host is index numPes_): boundary distance x lookahead, 0 when the
-     * owner sits farther than maxWindowHops from every tile boundary
-     * (untracked; covered by the maxWindowLat_ fallback cap).
-     */
-    std::vector<Cycles> peConstraintLat_;
-    /** Fallback window cap: maxWindowHops x lookahead. */
-    Cycles maxWindowLat_ = 0;
-    /** Per-shard window claim flags (index == shard index). */
-    std::unique_ptr<std::atomic<bool>[]> claimed_;
-    /** Shard indices each worker should run this window (rebuilt in the
-     *  barrier completion; read-only while a window executes). */
-    std::vector<std::vector<uint32_t>> workerQueues_;
-    /** Barrier-window counters of the current run (completion-step
-     *  writes, barrier-ordered). */
+    /** Barrier windows of the current run (completion-step writes,
+     *  barrier-ordered). */
     uint64_t windowCount_ = 0;
-    Cycles windowCycleSum_ = 0;
-    /** Claim counters (workers increment concurrently). */
-    std::atomic<uint64_t> shardWindowsRun_{0};
-    std::atomic<uint64_t> stealCount_{0};
     std::vector<std::unique_ptr<Pe>> pes_;
     std::unique_ptr<Fabric> fabric_;
     /** Merged-stats cache refreshed by stats(). */

@@ -10,6 +10,14 @@ struct ArchCase
     wse::ArchParams (*make)();
 };
 
+// Print the label, not gtest's default byte dump: the dump holds two
+// pointers, so under ASLR the discovered ctest names would change on
+// every build.
+void PrintTo(const ArchCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 class EndToEnd : public ::testing::TestWithParam<ArchCase>
 {
 };

@@ -3,14 +3,13 @@
  * PR 5 + PR 10 coverage: the sharded parallel simulator.
  *
  * The determinism contract (docs/architecture.md §4): a threads=N run
- * under ANY shard tiling, window policy and stealing mode must be
- * cycle-identical and bit-identical in SimStats, step marks and field
- * contents to the threads=1 run. These tests pin that contract on all
- * five paper workloads across 1-D strips and several 2-D tilings,
- * exercise cross-shard boundary delivery ordering directly at the
- * fabric level, check the adaptive-window and work-stealing machinery
- * through the scheduler telemetry (which may vary; results may not),
- * and cover the allocation-recycling rings (activation frames, payload
+ * under ANY shard tiling must be cycle-identical and bit-identical in
+ * SimStats, step marks and field contents to the threads=1 run. These
+ * tests pin that contract on all five paper workloads across 1-D strips
+ * and several 2-D tilings, exercise cross-shard boundary delivery
+ * ordering directly at the fabric level, check the fixed-window
+ * scheduler through its telemetry (which may vary; results may not), and
+ * cover the allocation-recycling rings (activation frames, payload
  * slots, cross-shard outbox lanes).
  *
  * The ShardedDeterminism suite is also wired to `ctest -L sharded`;
@@ -126,8 +125,7 @@ expectRunsEqual(const RunResult &sequential, const RunResult &other,
 
 /**
  * threads=1 vs threads=4 (auto-tiled), 1-D column strips and three
- * distinct explicit 2-D tilings must all agree bit-for-bit, with
- * adaptive windows and work stealing at their (enabled) defaults.
+ * distinct explicit 2-D tilings must all agree bit-for-bit.
  */
 void
 expectShardedEquivalence(fe::Benchmark bench, int nx, int ny)
@@ -239,8 +237,8 @@ TEST(ShardedDeterminism, AutoShardGridDerivation)
     }
     {
         // Explicit tiling decouples shards from workers: six tiles can
-        // be driven by two workers (the window scheduler deals and
-        // steals shard-windows among them).
+        // be driven by two workers (each window deals shards s = w,
+        // w + 2, ... to worker w).
         wse::SimOptions options{2};
         options.shardGrid = {2, 3};
         wse::Simulator sim(arch, 6, 6, options);
@@ -262,15 +260,16 @@ TEST(ShardedDeterminism, AutoShardGridDerivation)
 TEST(ShardedDeterminism, TilingStressMatrix)
 {
     // The tsan-gated stress matrix: one workload re-run under every
-    // tiling shape in {1x4, 2x2, 4x2} must match threads=1 bit-for-bit
-    // while the claim/steal machinery runs with fewer workers than
-    // shards (the shape that maximises stealing).
+    // tiling shape in {1x4, 2x2, 4x2} must match threads=1 bit-for-bit,
+    // including with fewer workers than shards (each worker then runs
+    // several shard-windows per window).
     fe::Benchmark bench = fe::makeDiffusion(8, 8, 4, 16);
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
     ir::OwningOp module = bench.program.emit(ctx);
     transforms::runPipeline(module.get());
     RunResult sequential = runWorkload(module.get(), bench, 8, 8, 1);
+    const wse::Cycles hopCycles = wse::ArchParams::wse3().hopCycles;
     const wse::ShardGrid tilings[] = {{1, 4}, {2, 2}, {4, 2}};
     for (const wse::ShardGrid &g : tilings) {
         for (int threads : {2, 4}) {
@@ -281,74 +280,11 @@ TEST(ShardedDeterminism, TilingStressMatrix)
                                             options, &telemetry);
             expectRunsEqual(sequential, run, "tiling stress");
             EXPECT_GT(telemetry.windows, 0u);
+            // Every window is exactly one hop long.
+            EXPECT_EQ(telemetry.windowCycles, telemetry.windows * hopCycles);
             EXPECT_GT(telemetry.shardWindowsRun, 0u);
         }
     }
-}
-
-TEST(ShardedDeterminism, AdaptiveWindowReducesBarriers)
-{
-    // Adaptive windows are a pure scheduling policy: bit-identical
-    // results, strictly fewer barrier windows than the fixed one-hop
-    // policy on a grid with interior (non-boundary) activity.
-    fe::Benchmark bench = fe::makeDiffusion(8, 8, 4, 16);
-    ir::Context ctx;
-    dialects::registerAllDialects(ctx);
-    ir::OwningOp module = bench.program.emit(ctx);
-    transforms::runPipeline(module.get());
-
-    wse::SimOptions fixed{4};
-    fixed.adaptiveWindow = false;
-    wse::SimOptions adaptive{4};
-    adaptive.adaptiveWindow = true;
-
-    wse::ShardingTelemetry fixedT, adaptiveT;
-    RunResult fixedRun = runWorkloadOpts(module.get(), bench, 8, 8,
-                                         fixed, &fixedT);
-    RunResult adaptiveRun = runWorkloadOpts(module.get(), bench, 8, 8,
-                                            adaptive, &adaptiveT);
-    expectRunsEqual(fixedRun, adaptiveRun, "adaptive vs fixed window");
-
-    EXPECT_GT(fixedT.windows, 0u);
-    EXPECT_LT(adaptiveT.windows, fixedT.windows)
-        << "adaptive windows should collapse barriers (fixed="
-        << fixedT.windows << ", adaptive=" << adaptiveT.windows << ")";
-    // Same total simulated span, fewer windows => wider windows.
-    EXPECT_GE(adaptiveT.windowCycles / std::max<uint64_t>(
-                                          1, adaptiveT.windows),
-              fixedT.windowCycles / std::max<uint64_t>(1,
-                                                       fixedT.windows));
-}
-
-TEST(ShardedDeterminism, WorkStealingMatchesStaticAssignment)
-{
-    // More shards than workers: stealing on vs off vs sequential must
-    // agree bit-for-bit; the window sequence (a deterministic quantity)
-    // must also agree, while steals only ever happen with stealing on.
-    fe::Benchmark bench = fe::makeJacobian(7, 7, 4, 64);
-    ir::Context ctx;
-    dialects::registerAllDialects(ctx);
-    ir::OwningOp module = bench.program.emit(ctx);
-    transforms::runPipeline(module.get());
-    RunResult sequential = runWorkload(module.get(), bench, 7, 7, 1);
-
-    wse::SimOptions stealing{2};
-    stealing.shardGrid = {2, 2};
-    stealing.workStealing = true;
-    wse::SimOptions pinned{2};
-    pinned.shardGrid = {2, 2};
-    pinned.workStealing = false;
-
-    wse::ShardingTelemetry stealT, pinT;
-    RunResult stolen = runWorkloadOpts(module.get(), bench, 7, 7,
-                                       stealing, &stealT);
-    RunResult static_ = runWorkloadOpts(module.get(), bench, 7, 7,
-                                        pinned, &pinT);
-    expectRunsEqual(sequential, stolen, "work stealing on");
-    expectRunsEqual(sequential, static_, "work stealing off");
-    EXPECT_EQ(stealT.windows, pinT.windows);
-    EXPECT_EQ(stealT.shardWindowsRun, pinT.shardWindowsRun);
-    EXPECT_EQ(pinT.steals, 0u);
 }
 
 TEST(ShardedDeterminism, OutboxSteadyStateAllocationFree)
@@ -363,9 +299,8 @@ TEST(ShardedDeterminism, OutboxSteadyStateAllocationFree)
     ir::OwningOp module = bench.program.emit(ctx);
     transforms::runPipeline(module.get());
 
-    // The fixed one-hop window maximises windows (one drain per hop).
+    // The one-hop window means one drain per hop: many windows.
     wse::SimOptions options{4};
-    options.adaptiveWindow = false;
     wse::ShardingTelemetry telemetry;
     runWorkloadOpts(module.get(), bench, 8, 8, options, &telemetry);
     EXPECT_GT(telemetry.windows, 100u);
@@ -388,7 +323,7 @@ TEST(ShardedScale, Acoustic96Grid)
     // README scenario table's large-grid run; examples/
     // large_grid_acoustic.cpp drives the same shape standalone) must
     // stay bit-identical across threads=1, 1-D strips and three
-    // distinct 2-D tilings with adaptive windows + stealing enabled.
+    // distinct 2-D tilings.
     fe::Benchmark bench = fe::makeAcoustic(96, 96, 2, 8);
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
