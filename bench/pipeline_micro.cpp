@@ -157,56 +157,6 @@ BENCHMARK(BM_ShardedTimestep2D)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_InterpDispatch(benchmark::State &state)
-{
-    // Interpreter dispatch microbench: one simulated workload executed
-    // through each execution tier, so the reference / switch / threaded
-    // / fused deltas are visible in isolation (the simulated results
-    // are bit-identical across all rows — see the InterpTiers suite).
-    struct Mode
-    {
-        const char *label;
-        bool reference;
-        interp::DispatchKind dispatch;
-        bool fuse;
-    };
-    static const Mode kModes[] = {
-        {"reference", true, interp::DispatchKind::Auto, false},
-        {"switch", false, interp::DispatchKind::Switch, false},
-        {"switch+fused", false, interp::DispatchKind::Switch, true},
-        {"threaded", false, interp::DispatchKind::Threaded, false},
-        {"threaded+fused", false, interp::DispatchKind::Threaded, true},
-    };
-    const Mode &mode = kModes[state.range(0)];
-    fe::Benchmark bench = fe::makeJacobian(7, 7, 64, 64);
-    ir::Context ctx;
-    dialects::registerAllDialects(ctx);
-    ir::OwningOp module = bench.program.emit(ctx);
-    transforms::runPipeline(module.get());
-    for (auto _ : state) {
-        wse::Simulator sim(wse::ArchParams::wse3(), 7, 7);
-        interp::CslProgramInstance instance(sim, module.get());
-        instance.setReferenceMode(mode.reference);
-        interp::InterpTuning tuning;
-        tuning.dispatch = mode.dispatch;
-        tuning.fuse = mode.fuse;
-        instance.setTuning(tuning);
-        auto init = bench.init;
-        instance.setFieldInit("a", [init](int x, int y, int z) {
-            return init(0, x, y, z);
-        });
-        instance.configure();
-        instance.launch();
-        sim.run(4000000000ULL);
-        benchmark::DoNotOptimize(sim.now());
-    }
-    state.SetLabel(mode.label);
-}
-BENCHMARK(BM_InterpDispatch)
-    ->DenseRange(0, 4)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_SimulatedTimestep(benchmark::State &state)
 {
     // Simulator throughput: one steady-state timestep of Jacobian on a

@@ -1,85 +1,52 @@
 /**
  * @file
- * The pre-decoded instruction set of the csl-ir interpreter.
- *
- * The opcode list is an X-macro so the enum, the printable names and the
- * computed-goto dispatch table (csl_interpreter.cpp) are generated from
- * one definition and can never drift out of sync. Order matters: the
- * enumerator value indexes the dispatch table.
- *
- * Base opcodes mirror the csl/arith/scf ops the interpreter executes.
- * `Fused*` opcodes are superinstructions: statically-detected hot
- * opcode pairs collapsed into one instruction at configure() time (see
- * the fusion table in csl_interpreter.cpp and docs/architecture.md §8).
+ * The pre-decoded instruction set of the csl-ir interpreter. Each opcode
+ * mirrors one csl/arith/scf op the interpreter executes; the split
+ * opcodes (LoadBuffer vs LoadBufferViaPtr, StoreScalar vs StorePtr, ...)
+ * are decided once at configure() from the op's static types and
+ * attributes, so the hot loop never re-dispatches on them.
  */
 
 #ifndef WSC_INTERP_INTERP_OPCODES_H
 #define WSC_INTERP_INTERP_OPCODES_H
 
-#include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace wsc::interp {
 
-// clang-format off
-#define WSC_INTERP_OPCODE_LIST(X)                                       \
-    X(Constant)                                                         \
-    X(Add)                                                              \
-    X(Sub)                                                              \
-    X(Mul)                                                              \
-    X(Div)                                                              \
-    X(Cmp)                                                              \
-    X(If)                                                               \
-    X(Return)                                                           \
-    X(LoadScalar)                                                       \
-    X(LoadBuffer)                                                       \
-    X(LoadBufferViaPtr)                                                 \
-    X(LoadPtr)                                                          \
-    X(StoreScalar)                                                      \
-    X(StorePtr)                                                         \
-    X(AddressOf)                                                        \
-    X(GetMemDsd)                                                        \
-    X(GetMemDsdViaPtr)                                                  \
-    X(IncrementDsdOffset)                                               \
-    X(SetDsdLength)                                                     \
-    X(Fadds)                                                            \
-    X(Fsubs)                                                            \
-    X(Fmuls)                                                            \
-    X(Fmovs)                                                            \
-    X(Fmacs)                                                            \
-    X(Call)                                                             \
-    X(Activate)                                                         \
-    X(CommsExchange)                                                    \
-    X(UnblockCmdStream)                                                 \
-    X(Nop)                                                              \
-    X(Unsupported)                                                      \
-    X(FusedCmpIf)                                                       \
-    X(FusedConstStoreScalar)                                            \
-    X(FusedAddStoreScalar)                                              \
-    X(FusedLoadScalarFmacs)                                             \
-    X(FusedIncDsdSetLen)                                                \
-    X(FusedGetMemDsdInc)
-// clang-format on
-
 enum class Opcode : uint8_t
 {
-#define WSC_INTERP_ENUM(name) name,
-    WSC_INTERP_OPCODE_LIST(WSC_INTERP_ENUM)
-#undef WSC_INTERP_ENUM
+    Constant,
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Cmp,
+    If,
+    Return,
+    LoadScalar,
+    LoadBuffer,
+    LoadBufferViaPtr,
+    LoadPtr,
+    StoreScalar,
+    StorePtr,
+    AddressOf,
+    GetMemDsd,
+    GetMemDsdViaPtr,
+    IncrementDsdOffset,
+    SetDsdLength,
+    Fadds,
+    Fsubs,
+    Fmuls,
+    Fmovs,
+    Fmacs,
+    Call,
+    Activate,
+    CommsExchange,
+    UnblockCmdStream,
+    Nop,
+    Unsupported,
 };
-
-constexpr size_t kNumOpcodes = 0
-#define WSC_INTERP_COUNT(name) +1
-    WSC_INTERP_OPCODE_LIST(WSC_INTERP_COUNT)
-#undef WSC_INTERP_COUNT
-    ;
-
-/** Printable opcode name (profile dumps, fusion-profile files). */
-const char *opcodeName(Opcode op);
-
-/** Reverse of opcodeName(); false when `name` spells no opcode. */
-bool opcodeFromName(std::string_view name, Opcode &out);
 
 } // namespace wsc::interp
 

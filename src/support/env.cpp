@@ -1,7 +1,6 @@
 #include "support/env.h"
 
 #include <cstdlib>
-#include <string>
 
 namespace wsc {
 
@@ -24,13 +23,6 @@ envU64(const char *name, uint64_t fallback)
     if (end == v || *end != '\0')
         return fallback;
     return static_cast<uint64_t>(parsed);
-}
-
-std::string
-envStr(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v == nullptr ? std::string() : std::string(v);
 }
 
 } // namespace wsc

@@ -9,7 +9,6 @@
 #define WSC_SUPPORT_ENV_H
 
 #include <cstdint>
-#include <string>
 
 namespace wsc {
 
@@ -18,9 +17,6 @@ bool envFlag(const char *name);
 
 /** Unsigned value of env var `name`; `fallback` when unset or invalid. */
 uint64_t envU64(const char *name, uint64_t fallback);
-
-/** String value of env var `name`; empty when unset. */
-std::string envStr(const char *name);
 
 } // namespace wsc
 

@@ -176,8 +176,8 @@ class Pe
         return scalars_[static_cast<size_t>(id.index)];
     }
     /** Unchecked O(1) access for handles pre-validated at configure
-     *  time (the interpreter's tier-3 contract): no validity branch on
-     *  the per-instruction path. */
+     *  time (the interpreter's resolveColdChecks()): no validity branch
+     *  on the per-instruction path. */
     double &
     scalarUnchecked(ScalarId id)
     {

@@ -1,19 +1,12 @@
 /**
  * @file
- * PR 9 coverage: the tiered execution engine. Every dispatch variant —
- * token-threaded, portable switch, counting (stats) and the fused
- * superinstruction stream — must be bit-identical to the reference
- * tree-walking evaluator on all five workloads, at threads=1 and
- * threads=4 (`ctest -L interp`). Also locks the opcode X-macro
- * round-trip, the profile artifact format and the PGO feedback loop.
+ * The dispatch-equivalence gate (`ctest -L interp`): the compiled
+ * interpreter (the pre-decoded switch loop) must be bit-identical to the
+ * reference tree-walking evaluator on all five workloads, at threads=1
+ * and threads=4.
  */
 
 #include "test_helpers.h"
-
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 namespace wsc::test {
 namespace {
@@ -23,20 +16,20 @@ namespace {
 //===----------------------------------------------------------------------===
 
 /** One run's observable outcome: cycle-exact and bit-exact state. */
-struct TierRun
+struct InterpRun
 {
     wse::Cycles finalCycle = 0;
     uint64_t unblocks = 0;
     std::vector<std::vector<float>> columns;
     std::vector<std::vector<wse::Cycles>> marks;
 
-    bool operator==(const TierRun &o) const
+    bool operator==(const InterpRun &o) const
     {
         if (finalCycle != o.finalCycle || unblocks != o.unblocks ||
             columns.size() != o.columns.size() ||
             marks.size() != o.marks.size())
             return false;
-        // Bit-exact float comparison, not approximate: the tiers must
+        // Bit-exact float comparison, not approximate: both paths must
         // execute the same arithmetic in the same order.
         for (size_t i = 0; i < columns.size(); ++i)
             if (columns[i] != o.columns[i])
@@ -45,26 +38,16 @@ struct TierRun
     }
 };
 
-/** How to run a workload: which tier, at which thread count. */
-struct TierMode
-{
-    const char *label;
-    bool reference = false;
-    int threads = 1;
-    interp::InterpTuning tuning;
-};
-
-/** Run the compiled `module` once under `mode` and capture everything. */
-TierRun
-runTier(ir::Operation *module, fe::Benchmark &bench, int nx, int ny,
-        const TierMode &mode, const char *expectDispatch = nullptr,
-        bool expectFused = false)
+/** Run the lowered `module` once, on the reference evaluator or the
+ *  compiled path, and capture everything. */
+InterpRun
+runInterp(ir::Operation *module, fe::Benchmark &bench, int nx, int ny,
+          bool reference, int threads)
 {
     wse::Simulator sim(wse::ArchParams::wse3(), nx, ny,
-                       wse::SimOptions{mode.threads});
+                       wse::SimOptions{threads});
     interp::CslProgramInstance instance(sim, module);
-    instance.setReferenceMode(mode.reference);
-    instance.setTuning(mode.tuning);
+    instance.setReferenceMode(reference);
     for (size_t f = 0; f < bench.program.numFields(); ++f) {
         int fi = static_cast<int>(f);
         auto init = bench.init;
@@ -74,16 +57,9 @@ runTier(ir::Operation *module, fe::Benchmark &bench, int nx, int ny,
                               });
     }
     instance.configure();
-    if (expectDispatch != nullptr)
-        EXPECT_STREQ(instance.resolvedDispatch(), expectDispatch)
-            << mode.label;
-    if (expectFused)
-        EXPECT_GT(instance.fusedCount(), 0u) << mode.label;
-    else if (!mode.tuning.fuse)
-        EXPECT_EQ(instance.fusedCount(), 0u) << mode.label;
     instance.launch();
 
-    TierRun run;
+    InterpRun run;
     run.finalCycle = sim.run(4000000000ULL);
     run.unblocks = instance.unblockCount();
     for (size_t f = 0; f < bench.program.numFields(); ++f)
@@ -97,47 +73,25 @@ runTier(ir::Operation *module, fe::Benchmark &bench, int nx, int ny,
 }
 
 /**
- * The dispatch-equivalence contract: reference, switch, threaded,
- * threaded-without-fusion and threads=4 runs of `bench` all produce
- * bit-identical fields, step marks, unblock counts and final cycles.
+ * The dispatch-equivalence contract: the reference run and the compiled
+ * runs at threads=1 and threads=4 of `bench` all produce bit-identical
+ * fields, step marks, unblock counts and final cycles.
  */
 void
-expectTierEquivalence(fe::Benchmark bench, int nx, int ny)
+expectMatchesReference(fe::Benchmark bench, int nx, int ny)
 {
     ir::Context ctx;
     dialects::registerAllDialects(ctx);
     ir::OwningOp module = bench.program.emit(ctx);
     transforms::runPipeline(module.get());
 
-    TierMode reference{"reference"};
-    reference.reference = true;
-    TierRun oracle = runTier(module.get(), bench, nx, ny, reference,
-                             "reference");
-
-    std::vector<TierMode> modes;
-    TierMode switchFused{"switch+fused"};
-    switchFused.tuning.dispatch = interp::DispatchKind::Switch;
-    modes.push_back(switchFused);
-    TierMode switchPlain{"switch+nofuse"};
-    switchPlain.tuning.dispatch = interp::DispatchKind::Switch;
-    switchPlain.tuning.fuse = false;
-    modes.push_back(switchPlain);
-    TierMode autoFused{"auto+fused"};
-    modes.push_back(autoFused);
-    TierMode autoPlain{"auto+nofuse"};
-    autoPlain.tuning.fuse = false;
-    modes.push_back(autoPlain);
-    TierMode counting{"counting"};
-    counting.tuning.collectStats = true;
-    modes.push_back(counting);
-    TierMode sharded{"auto+fused@4threads"};
-    sharded.threads = 4;
-    modes.push_back(sharded);
-
-    for (const TierMode &mode : modes) {
-        TierRun run = runTier(module.get(), bench, nx, ny, mode);
-        EXPECT_TRUE(run == oracle)
-            << bench.name << " diverged under " << mode.label;
+    InterpRun oracle = runInterp(module.get(), bench, nx, ny,
+                                 /*reference=*/true, /*threads=*/1);
+    for (int threads : {1, 4}) {
+        InterpRun run = runInterp(module.get(), bench, nx, ny,
+                                  /*reference=*/false, threads);
+        EXPECT_TRUE(run == oracle) << bench.name << " diverged at threads="
+                                   << threads;
     }
 }
 
@@ -147,204 +101,27 @@ expectTierEquivalence(fe::Benchmark bench, int nx, int ny)
 
 TEST(InterpTiers, JacobianAllTiersBitIdentical)
 {
-    expectTierEquivalence(fe::makeJacobian(6, 6, 3, 24), 6, 6);
+    expectMatchesReference(fe::makeJacobian(6, 6, 3, 24), 6, 6);
 }
 
 TEST(InterpTiers, DiffusionAllTiersBitIdentical)
 {
-    expectTierEquivalence(fe::makeDiffusion(7, 7, 4, 16), 7, 7);
+    expectMatchesReference(fe::makeDiffusion(7, 7, 4, 16), 7, 7);
 }
 
 TEST(InterpTiers, AcousticAllTiersBitIdentical)
 {
-    expectTierEquivalence(fe::makeAcoustic(6, 6, 3, 20), 6, 6);
+    expectMatchesReference(fe::makeAcoustic(6, 6, 3, 20), 6, 6);
 }
 
 TEST(InterpTiers, SeismicAllTiersBitIdentical)
 {
-    expectTierEquivalence(fe::makeSeismic(8, 8, 3, 20), 8, 8);
+    expectMatchesReference(fe::makeSeismic(8, 8, 3, 20), 8, 8);
 }
 
 TEST(InterpTiers, UvkbeAllTiersBitIdentical)
 {
-    expectTierEquivalence(fe::makeUvkbe(8, 8, 16), 8, 8);
-}
-
-//===----------------------------------------------------------------------===
-// Tier plumbing
-//===----------------------------------------------------------------------===
-
-TEST(InterpTiers, FusionCreatesSuperinstructions)
-{
-    fe::Benchmark bench = fe::makeSeismic(6, 6, 2, 12);
-    ir::Context ctx;
-    dialects::registerAllDialects(ctx);
-    ir::OwningOp module = bench.program.emit(ctx);
-    transforms::runPipeline(module.get());
-
-    TierMode fused{"fused"};
-    runTier(module.get(), bench, 6, 6, fused, nullptr,
-            /*expectFused=*/true);
-    TierMode plain{"nofuse"};
-    plain.tuning.fuse = false;
-    runTier(module.get(), bench, 6, 6, plain);
-}
-
-TEST(InterpTiers, ResolvedDispatchNamesTheVariant)
-{
-    fe::Benchmark bench = fe::makeDiffusion(5, 5, 2, 8);
-    ir::Context ctx;
-    dialects::registerAllDialects(ctx);
-    ir::OwningOp module = bench.program.emit(ctx);
-    transforms::runPipeline(module.get());
-
-    TierMode sw{"switch"};
-    sw.tuning.dispatch = interp::DispatchKind::Switch;
-    runTier(module.get(), bench, 5, 5, sw, "switch");
-
-    TierMode counting{"counting"};
-    counting.tuning.collectStats = true;
-    runTier(module.get(), bench, 5, 5, counting, "counting");
-
-    TierMode threaded{"threaded"};
-    threaded.tuning.dispatch = interp::DispatchKind::Threaded;
-    const char *expect = interp::CslProgramInstance::
-                             threadedDispatchAvailable()
-                             ? "threaded"
-                             : "switch";
-    runTier(module.get(), bench, 5, 5, threaded, expect);
-}
-
-TEST(InterpTiers, EnvKnobsOverrideProgrammaticTuning)
-{
-    fe::Benchmark bench = fe::makeDiffusion(5, 5, 2, 8);
-    ir::Context ctx;
-    dialects::registerAllDialects(ctx);
-    ir::OwningOp module = bench.program.emit(ctx);
-    transforms::runPipeline(module.get());
-
-    // Programmatic tuning asks for the default (threaded, fused);
-    // the environment forces switch dispatch with fusion off.
-    ::setenv("WSC_INTERP_DISPATCH", "switch", 1);
-    ::setenv("WSC_INTERP_NO_FUSE", "1", 1);
-    TierMode mode{"env-forced"};
-    mode.tuning.fuse = false; // expectation helper checks fusedCount==0
-    TierRun envRun = runTier(module.get(), bench, 5, 5, mode, "switch");
-    ::unsetenv("WSC_INTERP_DISPATCH");
-    ::unsetenv("WSC_INTERP_NO_FUSE");
-
-    TierMode reference{"reference"};
-    reference.reference = true;
-    TierRun oracle = runTier(module.get(), bench, 5, 5, reference);
-    EXPECT_TRUE(envRun == oracle);
-}
-
-//===----------------------------------------------------------------------===
-// Opcode table and profile artifact
-//===----------------------------------------------------------------------===
-
-TEST(InterpTiers, OpcodeNamesRoundTrip)
-{
-    for (size_t i = 0; i < interp::kNumOpcodes; ++i) {
-        auto op = static_cast<interp::Opcode>(i);
-        const char *name = interp::opcodeName(op);
-        ASSERT_NE(name, nullptr);
-        interp::Opcode back = interp::Opcode::Unsupported;
-        EXPECT_TRUE(interp::opcodeFromName(name, back)) << name;
-        EXPECT_EQ(back, op) << name;
-    }
-    interp::Opcode out = interp::Opcode::Nop;
-    EXPECT_FALSE(interp::opcodeFromName("NotAnOpcode", out));
-}
-
-TEST(InterpTiers, ProfileArtifactRoundTrips)
-{
-    interp::InterpProfile prof;
-    prof.note(interp::InterpProfile::kNoPrev, interp::Opcode::Cmp);
-    prof.note(static_cast<uint8_t>(interp::Opcode::Cmp),
-              interp::Opcode::If);
-    prof.note(static_cast<uint8_t>(interp::Opcode::Cmp),
-              interp::Opcode::If);
-    prof.note(static_cast<uint8_t>(interp::Opcode::If),
-              interp::Opcode::Fmacs);
-
-    std::stringstream ss;
-    prof.writeProfile(ss);
-    std::vector<interp::ProfiledPair> pairs;
-    ASSERT_TRUE(interp::readProfile(ss, pairs));
-    bool sawCmpIf = false;
-    for (const auto &p : pairs)
-        if (p.first == interp::Opcode::Cmp &&
-            p.second == interp::Opcode::If) {
-            sawCmpIf = true;
-            EXPECT_EQ(p.count, 2u);
-        }
-    EXPECT_TRUE(sawCmpIf);
-
-    // Unknown opcode names are skipped, malformed lines reject the file.
-    std::stringstream skip("# comment\npair Bogus If 3\npair Cmp If 1\n");
-    pairs.clear();
-    ASSERT_TRUE(interp::readProfile(skip, pairs));
-    ASSERT_EQ(pairs.size(), 1u);
-    std::stringstream bad("pair Cmp If notanumber\n");
-    EXPECT_FALSE(interp::readProfile(bad, pairs));
-}
-
-TEST(InterpTiers, PgoLoopFeedsProfileBackIntoFusion)
-{
-    fe::Benchmark bench = fe::makeSeismic(6, 6, 2, 12);
-    ir::Context ctx;
-    dialects::registerAllDialects(ctx);
-    ir::OwningOp module = bench.program.emit(ctx);
-    transforms::runPipeline(module.get());
-
-    // Stage 1: profiling run (counting dispatch, fusion off so the
-    // profile sees the raw opcode pairs).
-    std::string path;
-    {
-        wse::Simulator sim(wse::ArchParams::wse3(), 6, 6);
-        interp::CslProgramInstance instance(sim, module.get());
-        interp::InterpTuning tuning;
-        tuning.collectStats = true;
-        tuning.fuse = false;
-        instance.setTuning(tuning);
-        for (size_t f = 0; f < bench.program.numFields(); ++f) {
-            int fi = static_cast<int>(f);
-            auto init = bench.init;
-            instance.setFieldInit(bench.program.fieldName(f),
-                                  [init, fi](int x, int y, int z) {
-                                      return init(fi, x, y, z);
-                                  });
-        }
-        instance.configure();
-        instance.launch();
-        sim.run(4000000000ULL);
-
-        ASSERT_NE(instance.profile(), nullptr);
-        EXPECT_GT(instance.profile()->total(), 0u);
-        // Cmp;If is statically adjacent in every workload's step guard.
-        EXPECT_GT(instance.profile()->pairTotal(interp::Opcode::Cmp,
-                                                interp::Opcode::If),
-                  0u);
-
-        path = std::string(::testing::TempDir()) + "wsc_pgo_profile.txt";
-        std::ofstream os(path);
-        ASSERT_TRUE(os.good());
-        instance.profile()->writeProfile(os);
-    }
-
-    // Stage 2: feed the artifact back; fusion must fire and the run
-    // must stay bit-identical to the reference oracle.
-    TierMode reference{"reference"};
-    reference.reference = true;
-    TierRun oracle = runTier(module.get(), bench, 6, 6, reference);
-
-    TierMode pgo{"pgo"};
-    pgo.tuning.profilePath = path;
-    TierRun fed = runTier(module.get(), bench, 6, 6, pgo, nullptr,
-                          /*expectFused=*/true);
-    EXPECT_TRUE(fed == oracle);
-    std::remove(path.c_str());
+    expectMatchesReference(fe::makeUvkbe(8, 8, 16), 8, 8);
 }
 
 } // namespace
