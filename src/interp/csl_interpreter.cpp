@@ -517,8 +517,10 @@ CslProgramInstance::configure()
     // (PeRt) are resolved once — after StarComm::setup so library-owned
     // receive buffers resolve, and after registration so activation
     // targets resolve. The opcode loop never touches a string.
-    if (!referenceMode_)
+    if (!referenceMode_) {
         peRts_.resize(peEnvs_.size());
+        frames_.resize(static_cast<size_t>(sim_.shardCount()));
+    }
     for (int x = 0; x < sim_.width(); ++x) {
         for (int y = 0; y < sim_.height(); ++y) {
             wse::Pe &pe = sim_.pe(x, y);
@@ -589,9 +591,9 @@ CslProgramInstance::configure()
                             stepMarks_[peIdx].push_back(
                                 ctx.startCycle());
                         const CompiledBody &cb = bodies_[bodyIdx];
-                        PeRt &rt = peRts_[peIdx];
+                        FrameStack &frames = framesOf(ctx);
                         std::vector<RtValue> slots =
-                            rt.frames.acquire(cb.numSlots);
+                            frames.acquire(cb.numSlots);
                         if (wantsOffset) {
                             WSC_ASSERT(
                                 site >= 0,
@@ -605,9 +607,9 @@ CslProgramInstance::configure()
                                 comms_[site]->popCompletedChunkOffset(
                                     ctx.pe()));
                         }
-                        execSwitch(bodyIdx, slots, peEnvs_[peIdx], rt,
-                                   ctx);
-                        rt.frames.release(std::move(slots));
+                        execSwitch(bodyIdx, slots, peEnvs_[peIdx],
+                                   peRts_[peIdx], ctx);
+                        frames.release(std::move(slots));
                     });
             }
 
@@ -728,9 +730,9 @@ CslProgramInstance::frameStats() const
 {
     uint64_t acquires = 0;
     uint64_t fresh = 0;
-    for (const PeRt &rt : peRts_) {
-        acquires += rt.frames.acquires;
-        fresh += rt.frames.fresh;
+    for (const FrameStack &frames : frames_) {
+        acquires += frames.acquires;
+        fresh += frames.fresh;
     }
     return {acquires, fresh};
 }
@@ -739,10 +741,10 @@ void
 CslProgramInstance::runCompiledCallable(int bodyIdx, PeEnv &peEnv,
                                         PeRt &peRt, wse::TaskContext &ctx)
 {
-    std::vector<RtValue> slots =
-        peRt.frames.acquire(bodies_[bodyIdx].numSlots);
+    FrameStack &frames = framesOf(ctx);
+    std::vector<RtValue> slots = frames.acquire(bodies_[bodyIdx].numSlots);
     execSwitch(bodyIdx, slots, peEnv, peRt, ctx);
-    peRt.frames.release(std::move(slots));
+    frames.release(std::move(slots));
 }
 
 /**

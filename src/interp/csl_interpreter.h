@@ -89,7 +89,7 @@ class CslProgramInstance
         return unblockCount_.load(std::memory_order_relaxed);
     }
 
-    /** Frame-arena telemetry summed over PEs: (acquires, heap-backed
+    /** Frame-arena telemetry summed over shards: (acquires, heap-backed
      *  frames created). Steady state acquires without creating. */
     std::pair<uint64_t, uint64_t> frameStats() const;
 
@@ -169,13 +169,18 @@ class CslProgramInstance
     };
 
     /**
-     * Recycled stack of RtValue slot frames: the exec loop gets its
-     * frame from here instead of constructing a std::vector per
-     * activation — after warmup, task dispatch performs zero heap
-     * allocations. Frames are vectors so nested activations (csl.call)
-     * simply pop another one; released frames keep their capacity.
+     * Recycled stack of RtValue slot frames, one per simulator shard:
+     * the exec loop gets its frame from here instead of constructing a
+     * std::vector per activation — after warmup, task dispatch performs
+     * zero heap allocations. A shard's events run on one thread at a
+     * time and each activation releases its frames before the next one
+     * starts, so the stack needs no lock and holds only the nesting
+     * depth's worth of frames. Frames are vectors so nested activations
+     * (csl.call) simply pop another one; released frames keep their
+     * capacity. Cache-line aligned so shards' counters never share a
+     * line.
      */
-    struct FrameStack
+    struct alignas(64) FrameStack
     {
         std::vector<std::vector<RtValue>> pool;
         uint64_t acquires = 0;
@@ -216,8 +221,6 @@ class CslProgramInstance
         /** Receive / done callback task per comms site. */
         std::vector<wse::TaskId> commRecv;
         std::vector<wse::TaskId> commDone;
-        /** Recycled activation frames (see FrameStack). */
-        FrameStack frames;
     };
 
     class Compiler;
@@ -235,6 +238,12 @@ class CslProgramInstance
                     PeEnv &peEnv, PeRt &peRt, wse::TaskContext &ctx);
     void runCompiledCallable(int bodyIdx, PeEnv &peEnv, PeRt &peRt,
                              wse::TaskContext &ctx);
+    /** The frame stack of the shard executing `ctx`. */
+    FrameStack &
+    framesOf(wse::TaskContext &ctx)
+    {
+        return frames_[static_cast<size_t>(ctx.pe().shard().index())];
+    }
     /// @}
 
     using SsaEnv = std::map<ir::ValueImpl *, RtValue>;
@@ -289,6 +298,8 @@ class CslProgramInstance
     std::vector<std::pair<std::string, std::string>> siteCbNames_;
     std::deque<std::string> stringPool_;
     std::vector<PeRt> peRts_;
+    /** Recycled activation frames, one stack per simulator shard. */
+    std::vector<FrameStack> frames_;
     /// @}
 };
 

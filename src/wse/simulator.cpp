@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <bit>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -16,8 +17,16 @@ namespace wsc::wse {
 
 namespace {
 
-/** Initial capacity of each shard's event heap and callback slot pool. */
-constexpr size_t kInitialQueueCapacity = 1024;
+/**
+ * Debug and sanitizer builds also check the calendar queue's bucket
+ * invariant at run time (see EventQueue::advance).
+ */
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) ||                  \
+    defined(__SANITIZE_THREAD__)
+constexpr bool kCheckInvariants = true;
+#else
+constexpr bool kCheckInvariants = false;
+#endif
 
 /** Execution context of the current thread (nested runs unsupported). */
 struct TlsContext
@@ -40,48 +49,119 @@ struct TlsGuard
 } // namespace
 
 //===----------------------------------------------------------------------===
+// EventQueue
+//===----------------------------------------------------------------------===
+
+EventQueue::EventQueue() : ring_(kRingCycles) {}
+
+void
+EventQueue::pushRing(const Key &key)
+{
+    const size_t b = static_cast<size_t>(key.at & kRingMask);
+    ring_[b].push_back(key);
+    occupied_[b / 64] |= uint64_t{1} << (b % 64);
+    ringCount_++;
+}
+
+void
+EventQueue::push(const Key &key)
+{
+    if constexpr (kCheckInvariants)
+        WSC_ASSERT(key.at >= base_, "event at " << key.at
+                                                << " behind the queue base "
+                                                << base_);
+    size_++;
+    const Cycles ahead = key.at - base_;
+    if (ahead == 0) {
+        side_.push_back(key);
+        std::push_heap(side_.begin(), side_.end(), after);
+    } else if (ahead < kRingCycles) {
+        pushRing(key);
+    } else {
+        far_.push_back(key);
+        std::push_heap(far_.begin(), far_.end(), after);
+    }
+}
+
+Cycles
+EventQueue::nextRingCycle() const
+{
+    // The base bucket is always empty (base-cycle events live in run_ and
+    // side_), so the first set bit at or after base + 1, wrapping around
+    // the ring, is the next occupied cycle.
+    const size_t baseIdx = static_cast<size_t>(base_ & kRingMask);
+    const size_t start = (baseIdx + 1) & static_cast<size_t>(kRingMask);
+    size_t w = start / 64;
+    uint64_t bits = occupied_[w] & (~uint64_t{0} << (start % 64));
+    for (size_t i = 0; i <= kRingWords; ++i) {
+        if (bits != 0) {
+            const size_t idx = w * 64 + static_cast<size_t>(
+                                            std::countr_zero(bits));
+            return base_ + ((idx - baseIdx) & static_cast<size_t>(kRingMask));
+        }
+        w = (w + 1) % kRingWords;
+        bits = occupied_[w];
+    }
+    WSC_ASSERT(false, "calendar ring marked occupied but no bucket set");
+    return base_;
+}
+
+Cycles
+EventQueue::nextAt() const
+{
+    if (runPos_ < run_.size() || !side_.empty())
+        return base_;
+    return ringCount_ > 0 ? nextRingCycle() : far_.front().at;
+}
+
+void
+EventQueue::advance()
+{
+    base_ = ringCount_ > 0 ? nextRingCycle() : far_.front().at;
+    while (!far_.empty() && far_.front().at - base_ < kRingCycles) {
+        std::pop_heap(far_.begin(), far_.end(), after);
+        pushRing(far_.back());
+        far_.pop_back();
+    }
+    const size_t b = static_cast<size_t>(base_ & kRingMask);
+    // The drained run's storage becomes the (empty) bucket, so bucket
+    // capacity circulates instead of being reallocated.
+    run_.clear();
+    runPos_ = 0;
+    run_.swap(ring_[b]);
+    occupied_[b / 64] &= ~(uint64_t{1} << (b % 64));
+    ringCount_ -= run_.size();
+    if constexpr (kCheckInvariants)
+        for (const Key &k : run_)
+            WSC_ASSERT(k.at == base_,
+                       "event at " << k.at << " in the bucket of cycle "
+                                   << base_ << " (ring of " << kRingCycles
+                                   << ")");
+    std::sort(run_.begin(), run_.end(), before);
+}
+
+EventQueue::Key
+EventQueue::pop()
+{
+    if (runPos_ == run_.size() && side_.empty())
+        advance();
+    size_--;
+    if (side_.empty() ||
+        (runPos_ < run_.size() && before(run_[runPos_], side_.front())))
+        return run_[runPos_++];
+    std::pop_heap(side_.begin(), side_.end(), after);
+    Key key = side_.back();
+    side_.pop_back();
+    return key;
+}
+
+//===----------------------------------------------------------------------===
 // Shard
 //===----------------------------------------------------------------------===
 
 Shard::Shard(Simulator &sim, int index)
     : sim_(&sim), index_(index), currentOwner_(sim.hostId())
 {
-    heap_.reserve(kInitialQueueCapacity);
-    slots_.reserve(kInitialQueueCapacity);
-    freeSlots_.reserve(kInitialQueueCapacity);
-}
-
-void
-Shard::siftUp(size_t i)
-{
-    EventKey key = heap_[i];
-    while (i > 0) {
-        size_t parent = (i - 1) / 2;
-        if (!before(key, heap_[parent]))
-            break;
-        heap_[i] = heap_[parent];
-        i = parent;
-    }
-    heap_[i] = key;
-}
-
-void
-Shard::siftDown(size_t i)
-{
-    const size_t n = heap_.size();
-    EventKey key = heap_[i];
-    for (;;) {
-        size_t child = 2 * i + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n && before(heap_[child + 1], heap_[child]))
-            child++;
-        if (!before(heap_[child], key))
-            break;
-        heap_[i] = heap_[child];
-        i = child;
-    }
-    heap_[i] = key;
 }
 
 void
@@ -99,8 +179,7 @@ Shard::pushKeyed(uint64_t ownerCreator, uint64_t seq, Cycles at,
         slot = static_cast<uint32_t>(slots_.size());
         slots_.push_back(std::move(fn));
     }
-    heap_.push_back(EventKey{at, ownerCreator, seq, slot});
-    siftUp(heap_.size() - 1);
+    queue_.push(EventQueue::Key{at, ownerCreator, seq, slot});
 }
 
 void
@@ -113,11 +192,7 @@ Shard::push(uint32_t owner, Cycles at, EventCallback fn)
 void
 Shard::step()
 {
-    EventKey top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty())
-        siftDown(0);
+    EventQueue::Key top = queue_.pop();
     now_ = top.at;
     currentOwner_ = static_cast<uint32_t>(top.ownerCreator >> 32);
     stats_.eventsProcessed++;
@@ -133,7 +208,7 @@ Shard::step()
 void
 Shard::runWindow(Cycles end, uint64_t maxEvents)
 {
-    while (!heap_.empty() && heap_.front().at < end) {
+    while (!queue_.empty() && queue_.nextAt() < end) {
         // Same-cycle livelocks never return to the barrier where the
         // global budget is summed, so each shard also bounds its own
         // count (mirrors the sequential path's per-event check). Stop
@@ -265,7 +340,6 @@ Simulator::~Simulator()
     // (cross-shard segments, stashed deliveries): drop every queued
     // callback while all pools are still alive.
     for (auto &shard : shards_) {
-        shard->heap_.clear();
         shard->slots_.clear();
         shard->freeSlots_.clear();
         for (auto &lane : shard->outbox_)
@@ -385,7 +459,7 @@ bool
 Simulator::idle() const
 {
     for (const auto &shard : shards_) {
-        if (!shard->heap_.empty())
+        if (!shard->queue_.empty())
             return false;
         for (const auto &lane : shard->outbox_)
             if (!lane.empty())
@@ -415,7 +489,7 @@ Simulator::runSequential(uint64_t maxEvents)
     shard.processed_ = 0;
     TlsGuard tls(this, &shard);
     bool overBudget = false;
-    while (!shard.heap_.empty()) {
+    while (!shard.queue_.empty()) {
         if (shard.processed_ >= maxEvents) {
             overBudget = true; // Diagnosed by runWithReport.
             break;
@@ -434,7 +508,7 @@ Simulator::runAssignedShards(int w, Cycles windowEnd, uint64_t maxEvents)
     for (size_t s = static_cast<size_t>(w); s < shards_.size();
          s += static_cast<size_t>(numWorkers_)) {
         Shard &shard = *shards_[s];
-        if (shard.heap_.empty() || shard.heap_.front().at >= windowEnd)
+        if (shard.queue_.empty() || shard.queue_.nextAt() >= windowEnd)
             continue; // Idle this window.
         // The TLS context travels with the shard so schedule sites see
         // the right creator/outbox.
@@ -497,9 +571,9 @@ Simulator::runParallel(uint64_t maxEvents)
             bool any = false;
             Cycles minAt = 0;
             for (auto &shard : shards_) {
-                if (shard->heap_.empty())
+                if (shard->queue_.empty())
                     continue;
-                Cycles at = shard->heap_.front().at;
+                Cycles at = shard->queue_.nextAt();
                 minAt = any ? std::min(minAt, at) : at;
                 any = true;
             }
@@ -613,8 +687,8 @@ Simulator::diagnose(SimOutcome outcome, uint64_t budget,
         d.eventsProcessed += shard->processed_;
         ShardQueueInfo q;
         q.shard = shard->index();
-        q.depth = shard->heap_.size();
-        q.nextAt = q.depth > 0 ? shard->heap_.front().at : 0;
+        q.depth = shard->queue_.size();
+        q.nextAt = q.depth > 0 ? shard->queue_.nextAt() : 0;
         for (const auto &lane : shard->outbox_)
             q.outboxPending += lane.size();
         d.queues.push_back(q);
@@ -641,8 +715,9 @@ Simulator::diagnose(SimOutcome outcome, uint64_t budget,
     // Busiest PEs by events still owned in the queues/outboxes.
     std::unordered_map<uint32_t, size_t> ownerCounts;
     for (const auto &shard : shards_) {
-        for (const Shard::EventKey &key : shard->heap_)
+        shard->queue_.forEach([&](const EventQueue::Key &key) {
             ownerCounts[static_cast<uint32_t>(key.ownerCreator >> 32)]++;
+        });
         for (const auto &lane : shard->outbox_)
             for (const Shard::MailEntry &entry : lane)
                 ownerCounts[static_cast<uint32_t>(entry.ownerCreator >>

@@ -6,16 +6,16 @@
  * The PE grid is partitioned into rows x cols rectangular shard tiles
  * (SimOptions::shardGrid, auto-derived from SimOptions::threads when
  * unset; a single shard runs the classic sequential loop). Each shard
- * owns its own binary min-heap event queue, callback slot pool, payload
- * ring and statistics, so the hot schedule/dispatch paths are entirely
- * shard-local and lock-free.
+ * owns its own calendar event queue (EventQueue), callback slot pool,
+ * payload ring and statistics, so the hot schedule/dispatch paths are
+ * entirely shard-local and lock-free.
  *
  * Parallel execution uses conservative lock-step windows: every event
  * that crosses a tile boundary (a fabric stream segment handed to the
  * E/W/N/S neighbour tile) carries at least the fabric hop latency, so
  * all shards can safely execute the window [globalMin, globalMin +
  * hopCycles) in parallel. Cross-shard events travel through per-pair
- * SPSC outboxes that are drained into the target heaps at the window
+ * SPSC outboxes that are drained into the target queues at the window
  * barrier (the barrier itself provides the memory synchronisation, so
  * the mailboxes are plain vectors); the drain asserts that no mail lands
  * inside the window that just closed.
@@ -36,10 +36,10 @@
  * run — pinned by the `sharded` test suite and the golden
  * cycle counts.
  *
- * The schedule/run path is allocation-free for inline-sized callbacks:
- * an event is a POD key in a pre-sized heap vector, and its callback
- * lives in a small-buffer EventCallback slot recycled through a free
- * list.
+ * The schedule/run path allocates nothing in steady state for
+ * inline-sized callbacks: an event is a POD key appended to a recycled
+ * queue bucket, and its callback lives in a small-buffer EventCallback
+ * slot recycled through a free list.
  *
  * Timing model (documented in DESIGN.md §4): each PE has a single work
  * timeline on which task execution, DSD compute and ramp data transfers
@@ -326,6 +326,119 @@ class EventCallback
 class Simulator;
 
 /**
+ * One shard's pending events: a calendar queue shaped for the simulator's
+ * traffic, where almost every event is scheduled under kRingCycles ahead
+ * and a busy cycle holds thousands of events.
+ *
+ *  - A ring of kRingCycles per-cycle buckets covers [base, base +
+ *    kRingCycles); a push there only appends to bucket `at & kRingMask`.
+ *  - Events at or beyond base + kRingCycles wait in a min-heap and move
+ *    into their buckets as the base advances.
+ *  - When a cycle becomes the base, its bucket is sorted once by the
+ *    deterministic key and drained in order. Events scheduled for the
+ *    base cycle while it drains go to a small min-heap that pop merges
+ *    with the sorted run.
+ *
+ * Pop order is exactly the (at, ownerCreator, seq) order of a single
+ * min-heap on the same keys. The base moves only on pop, never on peek,
+ * so every push at or after the last popped cycle is valid.
+ */
+class EventQueue
+{
+  public:
+    /**
+     * POD event key, ordered by (at, owner, creator, seq): owner and
+     * creator are packed into one word (owner in the high half) so the
+     * deterministic tie-break is two integer compares. `seq` is the
+     * creating shard's monotone counter — only compared between events
+     * of the same creator, whose creations are totally ordered within
+     * one shard, so the key is independent of the shard count. `slot`
+     * indexes the shard's callback slot pool.
+     */
+    struct Key
+    {
+        Cycles at;
+        uint64_t ownerCreator;
+        uint64_t seq;
+        uint32_t slot;
+    };
+
+    /** Ring span in cycles (a power of two). */
+    static constexpr Cycles kRingCycles = 256;
+
+    EventQueue();
+
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+
+    /** Cycle of the least event; requires !empty(). */
+    Cycles nextAt() const;
+
+    /** Queue `key`; key.at must not precede the last popped cycle. */
+    void push(const Key &key);
+
+    /** Remove and return the least event; requires !empty(). */
+    Key pop();
+
+    /** Visit every queued key, in no particular order. */
+    template <typename F>
+    void
+    forEach(F &&fn) const
+    {
+        for (size_t i = runPos_; i < run_.size(); ++i)
+            fn(run_[i]);
+        for (const Key &k : side_)
+            fn(k);
+        for (const std::vector<Key> &bucket : ring_)
+            for (const Key &k : bucket)
+                fn(k);
+        for (const Key &k : far_)
+            fn(k);
+    }
+
+  private:
+    static constexpr Cycles kRingMask = kRingCycles - 1;
+    static constexpr size_t kRingWords = kRingCycles / 64;
+    static_assert((kRingCycles & kRingMask) == 0 && kRingWords > 0,
+                  "the ring span must be a power of two >= 64");
+
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        if (a.at != b.at)
+            return a.at < b.at;
+        if (a.ownerCreator != b.ownerCreator)
+            return a.ownerCreator < b.ownerCreator;
+        return a.seq < b.seq;
+    }
+    /** Heap comparator: std::*_heap with it keeps the least key on top. */
+    static bool after(const Key &a, const Key &b) { return before(b, a); }
+
+    void pushRing(const Key &key);
+    /** First occupied ring cycle after the base; requires ringCount_. */
+    Cycles nextRingCycle() const;
+    /** Move the base to the next cycle with events, pull newly covered
+     *  far events into the ring, and sort the base bucket into run_. */
+    void advance();
+
+    /** The cycle being drained; every queued event is at or after it. */
+    Cycles base_ = 0;
+    /** Sorted events of the base cycle; run_[runPos_..] are pending. */
+    std::vector<Key> run_;
+    size_t runPos_ = 0;
+    /** Min-heap of events pushed for the base cycle while it drains. */
+    std::vector<Key> side_;
+    /** Per-cycle buckets of (base, base + kRingCycles), unordered. */
+    std::vector<std::vector<Key>> ring_;
+    /** Bit i set when ring_[i] is non-empty. */
+    uint64_t occupied_[kRingWords] = {};
+    size_t ringCount_ = 0;
+    /** Min-heap of events at or beyond base + kRingCycles. */
+    std::vector<Key> far_;
+    size_t size_ = 0;
+};
+
+/**
  * One shard tile: a private event queue plus the per-shard resources
  * its PEs touch on the hot path (stats, payload ring, fabric hop
  * counter). All members are accessed only by the shard's worker while
@@ -366,24 +479,6 @@ class Shard
     friend class Simulator;
     friend class Fabric;
 
-    /**
-     * Heap entry: POD, so sift operations move 32 bytes, never the
-     * callback. Ordered by (at, owner, creator, seq): owner and creator
-     * are packed into one word (owner in the high half) so the
-     * deterministic tie-break is two integer compares. `seq` is the
-     * creating shard's monotone counter — only compared between events
-     * of the same creator, whose creations are totally ordered within
-     * one shard, so the key is independent of the shard count. `slot`
-     * indexes the callback slot pool.
-     */
-    struct EventKey
-    {
-        Cycles at;
-        uint64_t ownerCreator;
-        uint64_t seq;
-        uint32_t slot;
-    };
-
     /** A cross-shard event in flight (drained at window barriers). */
     struct MailEntry
     {
@@ -399,20 +494,8 @@ class Shard
         return (static_cast<uint64_t>(owner) << 32) | creator;
     }
 
-    static bool
-    before(const EventKey &a, const EventKey &b)
-    {
-        if (a.at != b.at)
-            return a.at < b.at;
-        if (a.ownerCreator != b.ownerCreator)
-            return a.ownerCreator < b.ownerCreator;
-        return a.seq < b.seq;
-    }
-
     void pushKeyed(uint64_t ownerCreator, uint64_t seq, Cycles at,
                    EventCallback fn);
-    void siftUp(size_t i);
-    void siftDown(size_t i);
     /** Execute events with at < end; returns early (leaving events
      *  queued) once the budget is spent — the caller diagnoses. */
     void runWindow(Cycles end, uint64_t maxEvents);
@@ -430,8 +513,8 @@ class Shard
     /** Owner of the event currently executing (host id when idle);
      *  recorded as the creator of events it schedules. */
     uint32_t currentOwner_;
-    /** Binary min-heap on the deterministic key. */
-    std::vector<EventKey> heap_;
+    /** Pending events on the deterministic key. */
+    EventQueue queue_;
     /** Callback slot pool; slots are recycled through freeSlots_. */
     std::vector<EventCallback> slots_;
     std::vector<uint32_t> freeSlots_;
@@ -568,7 +651,7 @@ class Simulator
      * Schedule an event owned by `owner` from the execution context of
      * `from` (nullptr for the host). Same-shard events push directly;
      * cross-shard events go through `from`'s outbox and join the target
-     * heap at the next window barrier. Host-context events draw their
+     * queue at the next window barrier. Host-context events draw their
      * sequence from one shared counter, so their relative order is
      * thread-count independent.
      */

@@ -4,14 +4,18 @@
  * of the compiled interpreter against the reference evaluator under the
  * handle-based Pe/StarComm/fabric paths, Pe handle semantics (id
  * resolution, unknown-name errors, buffer free/realloc reuse), the
- * allocation-free event queue's ordering and fallback behaviour, and the
+ * calendar event queue's ordering (against a reference key set on
+ * seeded random schedules) and callback fallback behaviour, and the
  * worklist driver's per-pattern counters.
  */
 
 #include "test_helpers.h"
 
 #include <array>
+#include <random>
+#include <set>
 #include <sstream>
+#include <tuple>
 
 #include "ir/pattern.h"
 
@@ -254,6 +258,140 @@ TEST(EventQueue, CallbacksReleaseCapturedState)
     EXPECT_EQ(token.use_count(), 2);
     sim.run();
     EXPECT_EQ(token.use_count(), 1);
+}
+
+/**
+ * A seeded random schedule driven through Simulator::scheduleOnPe on a
+ * single shard, checked event by event against a reference ordered set
+ * of (at, ownerCreator, seq) keys. On one shard every creation draws the
+ * next number from one counter, so the model mirrors `seq` exactly.
+ * Delays mix pushes into the cycle currently draining, the ring span
+ * and cycles far beyond it.
+ */
+class QueueOrderModel
+{
+  public:
+    using Key = std::tuple<wse::Cycles, uint64_t, uint64_t>;
+
+    QueueOrderModel(wse::Simulator &sim, uint64_t seed, uint64_t maxCreated)
+        : sim_(sim), rng_(seed), maxCreated_(maxCreated)
+    {
+    }
+
+    /** Schedule one event for a random PE from the current context. */
+    void
+    scheduleRandom(wse::Cycles now)
+    {
+        const uint32_t numPes = sim_.hostId();
+        const uint32_t owner = static_cast<uint32_t>(rng_() % numPes);
+        wse::Shard *from = sim_.currentShard();
+        const uint32_t creator = from ? executingOwner_ : sim_.hostId();
+        const Key key{now + randomDelay(),
+                      (static_cast<uint64_t>(owner) << 32) | creator,
+                      nextSeq_++};
+        pending_.insert(key);
+        created_++;
+        sim_.scheduleOnPe(owner, std::get<0>(key),
+                          [this, key] { execute(key); }, from);
+    }
+
+    uint64_t created() const { return created_; }
+    uint64_t executed() const { return executed_; }
+    size_t pending() const { return pending_.size(); }
+    /** First out-of-order event, empty while none was seen. */
+    const std::string &mismatch() const { return mismatch_; }
+
+  private:
+    wse::Cycles
+    randomDelay()
+    {
+        const wse::Cycles ring = wse::EventQueue::kRingCycles;
+        switch (rng_() % 10) {
+        case 0:
+        case 1:
+            return 0; // into the cycle currently draining
+        case 2:
+            return ring + rng_() % (3 * ring); // beyond the ring
+        case 3:
+            return 64 + rng_() % (ring - 64);
+        default:
+            return 1 + rng_() % 63;
+        }
+    }
+
+    void
+    execute(const Key &key)
+    {
+        executed_++;
+        if (mismatch_.empty() && (pending_.empty() ||
+                                  *pending_.begin() != key ||
+                                  sim_.now() != std::get<0>(key))) {
+            std::ostringstream os;
+            os << "event #" << executed_ << " (at=" << std::get<0>(key)
+               << ", ownerCreator=" << std::get<1>(key)
+               << ", seq=" << std::get<2>(key) << ") ran at cycle "
+               << sim_.now() << "; the reference expected ";
+            if (pending_.empty())
+                os << "nothing";
+            else
+                os << "(at=" << std::get<0>(*pending_.begin())
+                   << ", ownerCreator=" << std::get<1>(*pending_.begin())
+                   << ", seq=" << std::get<2>(*pending_.begin()) << ")";
+            mismatch_ = os.str();
+        }
+        pending_.erase(key);
+        executingOwner_ = static_cast<uint32_t>(std::get<1>(key) >> 32);
+        // Zero to three children (mean ~1.1) until the creation cap.
+        const uint64_t children = rng_() % 9 / 2 % 4;
+        for (uint64_t i = 0; i < children && created_ < maxCreated_; ++i)
+            scheduleRandom(sim_.now());
+    }
+
+    wse::Simulator &sim_;
+    std::mt19937_64 rng_;
+    uint64_t maxCreated_;
+    std::set<Key> pending_;
+    uint64_t nextSeq_ = 0;
+    uint64_t created_ = 0;
+    uint64_t executed_ = 0;
+    uint32_t executingOwner_ = 0;
+    std::string mismatch_;
+};
+
+TEST(EventQueue, RandomSchedulesPopInReferenceKeyOrder)
+{
+    for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        wse::Simulator sim(wse::ArchParams::wse3(), 8, 8);
+        ASSERT_EQ(sim.shardCount(), 1);
+        QueueOrderModel model(sim, seed, 40000);
+        for (int i = 0; i < 3000; ++i)
+            model.scheduleRandom(0);
+
+        // A queue invariant panic (checked in debug and sanitizer
+        // builds) fails the test under the seed's trace.
+        auto run = [&sim](uint64_t budget) {
+            try {
+                return sim.runWithReport(budget).outcome;
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << e.what();
+                return wse::SimOutcome::Deadlock;
+            }
+        };
+        // Stop on the event budget, most likely mid-cycle, then add host
+        // events at the stopped cycle and beyond before resuming.
+        ASSERT_EQ(run(9000), wse::SimOutcome::EventBudgetExceeded);
+        EXPECT_EQ(model.executed(), 9000u);
+        for (int i = 0; i < 200; ++i)
+            model.scheduleRandom(sim.now());
+
+        EXPECT_EQ(run(UINT64_MAX), wse::SimOutcome::Completed);
+        EXPECT_EQ(model.mismatch(), "");
+        EXPECT_EQ(model.pending(), 0u);
+        EXPECT_EQ(model.executed(), model.created());
+        EXPECT_EQ(sim.stats().eventsProcessed, model.created());
+        EXPECT_GT(model.created(), 30000u);
+    }
 }
 
 //===----------------------------------------------------------------------===
