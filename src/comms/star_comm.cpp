@@ -1,6 +1,7 @@
 #include "comms/star_comm.h"
 
 #include <algorithm>
+#include <set>
 
 #include "support/error.h"
 
@@ -165,7 +166,10 @@ const wse::Router &
 StarComm::router(int x, int y) const
 {
     WSC_ASSERT(setupDone_, "router() before setup");
-    return routers_[static_cast<size_t>(x) * sim_.height() + y];
+    WSC_ASSERT(x >= 0 && x < sim_.width() && y >= 0 && y < sim_.height(),
+               "router() of PE (" << x << ", " << y
+                                  << ") outside the grid");
+    return router_;
 }
 
 StarComm::PeState &
@@ -190,34 +194,28 @@ StarComm::setup()
         travelDirs.insert(travelDirection(a));
         maxDistance = std::max(maxDistance, a.distance());
     }
-    routers_.resize(static_cast<size_t>(sim_.width()) * sim_.height());
-    for (int x = 0; x < sim_.width(); ++x) {
-        for (int y = 0; y < sim_.height(); ++y) {
-            wse::Router &router =
-                routers_[static_cast<size_t>(x) * sim_.height() + y];
-            for (wse::Direction dir : travelDirs) {
-                wse::Color color = static_cast<wse::Color>(
-                    config_.baseColor + directionRank(dir));
-                wse::RouteConfig route = wse::makeStarRoute(
-                    dir, /*isSender=*/true, /*isTerminal=*/false,
-                    selfTransmit);
-                wse::RouteConfig recvRoute = wse::makeStarRoute(
-                    dir, /*isSender=*/false,
-                    /*isTerminal=*/maxDistance == 1, selfTransmit);
-                route.positions.push_back(recvRoute.positions[0]);
-                router.configure(color, route);
-            }
-        }
+    for (wse::Direction dir : travelDirs) {
+        wse::Color color = static_cast<wse::Color>(config_.baseColor +
+                                                   directionRank(dir));
+        wse::RouteConfig route = wse::makeStarRoute(
+            dir, /*isSender=*/true, /*isTerminal=*/false, selfTransmit);
+        wse::RouteConfig recvRoute = wse::makeStarRoute(
+            dir, /*isSender=*/false, /*isTerminal=*/maxDistance == 1,
+            selfTransmit);
+        route.positions.push_back(recvRoute.positions[0]);
+        router_.configure(color, route);
     }
 
     // Receive buffers: one chunk per section, reused across chunks — the
-    // memory saving that csl_stencil.apply chunking enables. The dense
-    // handle is resolved once here; receive callbacks use it directly.
+    // memory saving that csl_stencil.apply chunking enables. The
+    // grid-wide handle is resolved once here; receive callbacks use it
+    // directly.
+    recvBuf_ = sim_.bufferNames().intern(config_.recvBufferName);
+    const size_t recvElems =
+        static_cast<size_t>(numSections() * chunkElems());
     for (int x = 0; x < sim_.width(); ++x)
         for (int y = 0; y < sim_.height(); ++y)
-            state(x, y).recvBuf = sim_.pe(x, y).allocBufferId(
-                config_.recvBufferName,
-                static_cast<size_t>(numSections() * chunkElems()));
+            sim_.pe(x, y).allocBuffer(recvBuf_, recvElems);
 
     // Deadlock introspection: when the event queues drain, any PE still
     // inside an exchange is waiting for data that will never arrive —
@@ -568,7 +566,7 @@ StarComm::popCompletedChunkOffset(wse::Pe &pe)
     // landing step), applying promoted coefficients at zero extra cost —
     // the comms/compute interleaving of §5.7.
     EpochState &es = st.epochs.at(epoch);
-    std::vector<float> &recv = pe.buffer(st.recvBuf);
+    std::vector<float> &recv = pe.buffer(recvBuf_);
     int64_t chunk = chunkElems();
     for (size_t s = 0; s < config_.accesses.size(); ++s) {
         wse::PayloadRef &pinned = es.stash[chunkIdx][s];
@@ -607,7 +605,7 @@ StarComm::popCompletedSection(wse::Pe &pe)
     st.pendingSections.pop_front();
 
     EpochState &es = st.epochs.at(epoch);
-    std::vector<float> &recv = pe.buffer(st.recvBuf);
+    std::vector<float> &recv = pe.buffer(recvBuf_);
     int64_t chunk = chunkElems();
     wse::PayloadRef &pinned =
         es.stash[chunkIdx][static_cast<size_t>(section)];

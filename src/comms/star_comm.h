@@ -7,7 +7,9 @@
  * One StarComm instance serves one csl.comms_exchange site: it owns the
  * per-PE receive buffer, the router color configuration, and the arrival
  * bookkeeping that drives the user-provided receive-chunk and
- * done-exchange callbacks.
+ * done-exchange callbacks. Routes depend only on the travel directions
+ * of the site's accesses, never on a PE's position, so the site keeps
+ * one Router that every PE shares.
  *
  * Properties the paper credits for the generated code's edge over the
  * hand-written kernel are expressed here as configuration:
@@ -24,12 +26,12 @@
 #define WSC_COMMS_STAR_COMM_H
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "support/fifo.h"
 #include "wse/pe.h"
 #include "wse/router.h"
 #include "wse/simulator.h"
@@ -157,7 +159,9 @@ class StarComm
     /** Aggregate statistics, summed across PEs on each call. */
     const StarCommStats &stats() const;
 
-    /** Router of PE (x, y), for inspecting the configured routes. */
+    /** Router of PE (x, y), for inspecting the configured routes. The
+     *  routes are the same on every PE, so all PEs share one Router;
+     *  (x, y) outside the grid panics. */
     const wse::Router &router(int x, int y) const;
 
     /** Expected number of arriving sections for PE (x, y); 0 marks a
@@ -199,13 +203,13 @@ class StarComm
         /** Callback tasks of the active exchange (resolved handles). */
         wse::TaskId recvCb;
         wse::TaskId doneCb;
-        /** This PE's receive buffer (resolved once at setup()). */
-        wse::BufferId recvBuf;
         std::map<int64_t, EpochState> epochs;
-        /** (epoch, chunk) queue feeding popCompletedChunkOffset. */
-        std::deque<std::pair<int64_t, int64_t>> pendingChunks;
+        /** (epoch, chunk) queue feeding popCompletedChunkOffset. Fifos
+         *  allocate on first use: most PEs of a grid never fill the
+         *  per-section queue. */
+        Fifo<std::pair<int64_t, int64_t>> pendingChunks;
         /** (epoch, chunk, section) queue for per-section mode. */
-        std::deque<std::tuple<int64_t, int64_t, int>> pendingSections;
+        Fifo<std::tuple<int64_t, int64_t, int>> pendingSections;
         /** Shard-safe statistics: counters live with the PE that
          *  increments them; stats() sums across PEs. */
         StarCommStats stats;
@@ -260,7 +264,10 @@ class StarComm
     std::vector<int> expected_;
     /** Deliveries grouped by travel direction (derived from config). */
     std::vector<PlanEntry> plan_;
-    std::vector<wse::Router> routers_;
+    /** The site's routes, shared by every PE. */
+    wse::Router router_;
+    /** The receive buffer's grid-wide handle (resolved at setup()). */
+    wse::BufferId recvBuf_;
     /** Merged-stats cache refreshed by stats(). */
     mutable StarCommStats statsCache_;
     bool setupDone_ = false;

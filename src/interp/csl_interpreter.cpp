@@ -36,8 +36,7 @@ CslProgramInstance::CslProgramInstance(wse::Simulator &sim,
                                        ir::Operation *root)
     : sim_(sim), program_(findProgramModule(root))
 {
-    peEnvs_.resize(static_cast<size_t>(sim.width()) * sim.height());
-    stepMarks_.resize(peEnvs_.size());
+    stepMarks_.resize(static_cast<size_t>(sim.width()) * sim.height());
 }
 
 void
@@ -350,8 +349,22 @@ CslProgramInstance::compileProgram()
         bodies_.emplace_back();
     }
     Compiler compiler(*this);
-    for (const auto &[name, op] : callables_)
+    for (const auto &[name, op] : callables_) {
         compiler.compileCallable(name, op);
+        // Task entry: step-marker role and comms site are resolved
+        // here, once, instead of per activation.
+        CompiledBody &body = bodies_[bodyOf_.at(name)];
+        body.marksStep = name == "for_cond0";
+        body.wantsOffset = body.argSlots.size() == 1;
+        if (body.wantsOffset) {
+            // Lazily diagnosed: a 1-argument task that is not a
+            // registered receive callback only errors if it is
+            // actually activated.
+            auto it = commOfRecvCb_.find(name);
+            if (it != commOfRecvCb_.end())
+                body.site = static_cast<int>(it->second);
+        }
+    }
     sealBodies();
 }
 
@@ -410,6 +423,13 @@ CslProgramInstance::configure()
         if (op->is(csl::kCommsExchange))
             commsOps.push_back(op);
     });
+    if (ir::Attribute results = program_->attr(ir::attrs::kResultFields)) {
+        for (ir::Attribute entry : ir::arrayAttrValue(results))
+            resultFields_[ir::stringAttrValue(
+                ir::dictAttrGet(entry, "field"))] = ResultField{
+                ir::stringAttrValue(ir::dictAttrGet(entry, "var")),
+                ir::intAttrValue(ir::dictAttrGet(entry, "via_ptr")) != 0};
+    }
 
     // --- Runtime communication sites ------------------------------------
     for (size_t i = 0; i < commsOps.size(); ++i) {
@@ -434,16 +454,111 @@ CslProgramInstance::configure()
         siteCbNames_.emplace_back(spec.recvCallback, spec.doneCallback);
     }
 
-    // --- Pre-decode every callable (shared across PEs) -------------------
+    // --- Resolve everything that is the same on every PE, once ----------
     if (!referenceMode_) {
         compileProgram();
-        // Intern every module variable so per-PE handle tables cover
-        // names the host touches (readFieldColumn) even when the code
-        // never mentions them.
+        // Intern every module variable so the handle tables cover names
+        // the host touches (readFieldColumn) even when the code never
+        // mentions them.
         for (const auto &[name, var] : variables_)
             varIdx(name);
     }
+    planVariables();
+    // One closure per callable, small enough for std::function's
+    // inline buffer: registering it on a PE copies it, allocating
+    // nothing.
+    std::vector<std::pair<wse::TaskId, wse::TaskFn>> tasks;
+    for (const auto &[name, op] : callables_) {
+        wse::TaskFn fn;
+        if (referenceMode_) {
+            fn = [this, callable = op](wse::TaskContext &ctx) {
+                runReferenceTask(callable, ctx);
+            };
+        } else {
+            fn = [this, bodyIdx = bodyOf_.at(name)](wse::TaskContext &ctx) {
+                runTask(bodyIdx, ctx);
+            };
+        }
+        tasks.emplace_back(sim_.taskNames().intern(name), std::move(fn));
+    }
+    const size_t numPes = static_cast<size_t>(sim_.width()) * sim_.height();
+    if (referenceMode_)
+        peEnvs_.resize(numPes);
 
+    // --- Per-PE state: buffers, initial data, scalars, tasks -------------
+    std::vector<std::vector<float>> columns(initFields_.size());
+    for (int x = 0; x < sim_.width(); ++x) {
+        for (int y = 0; y < sim_.height(); ++y) {
+            wse::Pe &pe = sim_.pe(x, y);
+            const bool interior = interiorEverywhere(x, y);
+            // Host data transfer: each field column is evaluated once
+            // and copied into every buffer it initialises.
+            for (const ColumnPlan &c :
+                 interior ? interiorColumns_ : boundaryColumns_) {
+                std::vector<float> &column = columns[c.field];
+                const FieldInitFn &init = *initFields_[c.field];
+                column.resize(c.elems);
+                for (size_t z = 0; z < c.elems; ++z)
+                    column[z] = init(x, y, static_cast<int>(z));
+            }
+            for (const VarPlan &plan : varPlans_) {
+                switch (plan.kind) {
+                case VarPlan::Kind::Buffer: {
+                    std::vector<float> &buf =
+                        pe.allocBuffer(plan.buf, plan.elems);
+                    int field =
+                        interior ? plan.interiorInit : plan.boundaryInit;
+                    if (field >= 0)
+                        std::copy_n(columns[field].begin(), plan.elems,
+                                    buf.begin());
+                } break;
+                case VarPlan::Kind::Pointer:
+                    if (referenceMode_)
+                        peEnvs_[pe.id()].ptrs[plan.name] = plan.target;
+                    break;
+                case VarPlan::Kind::Scalar:
+                    pe.defineScalar(plan.scalar, plan.init);
+                    break;
+                }
+            }
+            // Comptime role flags depend on the comm sites' view of the
+            // grid.
+            for (const RolePlan &role : rolePlans_) {
+                bool computes =
+                    role.site < 0
+                        ? interior
+                        : comms_[role.site]->expectedSections(x, y) > 0;
+                pe.defineScalar(role.scalar, computes ? 1.0 : 0.0);
+            }
+            for (const auto &[id, fn] : tasks)
+                pe.registerTask(id, wse::TaskKind::Local, fn);
+        }
+    }
+
+    // StarComm setup after variables (its receive buffers count towards
+    // the same 48 kB).
+    for (auto &comm : comms_)
+        comm->setup();
+
+    if (referenceMode_)
+        return;
+    // The handle table resolves after StarComm::setup so library-owned
+    // receive buffers resolve; each PE then only caches its data
+    // pointers. The opcode loop never touches a string.
+    resolveHandles();
+    peRts_.resize(numPes);
+    frames_.resize(static_cast<size_t>(sim_.shardCount()));
+    for (int x = 0; x < sim_.width(); ++x) {
+        for (int y = 0; y < sim_.height(); ++y) {
+            wse::Pe &pe = sim_.pe(x, y);
+            resolveColdChecks(pe, peRts_[pe.id()]);
+        }
+    }
+}
+
+void
+CslProgramInstance::planVariables()
+{
     // Buffer-rotation pool: the initial targets of all pointer
     // variables. On boundary (non-computing) PEs the host loads every
     // pool buffer with the primary wavefield's boundary-condition data,
@@ -460,228 +575,157 @@ CslProgramInstance::configure()
             primaryField = target;
     }
 
-    // --- Per-PE state ----------------------------------------------------
-    for (int x = 0; x < sim_.width(); ++x) {
-        for (int y = 0; y < sim_.height(); ++y) {
-            wse::Pe &pe = sim_.pe(x, y);
-            PeEnv &env =
-                peEnvs_[static_cast<size_t>(x) * sim_.height() + y];
-            bool boundaryPe = !interiorEverywhere(x, y);
+    // Each host field that initialises something is listed once, with
+    // the longest buffer it feeds on each kind of PE.
+    std::map<std::string, int> fieldIndex;
+    auto fieldOf = [&](const std::string &field) {
+        auto it = fieldInits_.find(field);
+        if (it == fieldInits_.end())
+            return -1;
+        auto [idx, inserted] = fieldIndex.try_emplace(
+            field, static_cast<int>(initFields_.size()));
+        if (inserted)
+            initFields_.push_back(&it->second);
+        return idx->second;
+    };
+    auto addColumn = [](std::vector<ColumnPlan> &columns, int field,
+                        size_t elems) {
+        if (field < 0)
+            return;
+        for (ColumnPlan &c : columns)
+            if (c.field == field) {
+                c.elems = std::max(c.elems, elems);
+                return;
+            }
+        columns.push_back({field, elems});
+    };
 
-            for (const auto &[name, var] : variables_) {
-                ir::Type type = ir::typeAttrValue(var->attr(ir::attrs::kType));
-                if (var->hasAttr(ir::attrs::kCommsOwned))
-                    continue; // StarComm::setup allocates these.
-                if (ir::isMemRef(type)) {
-                    std::vector<float> &buf = pe.allocBuffer(
-                        name,
-                        static_cast<size_t>(ir::numElementsOf(type)));
-                    // Host data transfer: fields get their own init;
-                    // result buffers inherit from their target field;
-                    // rotation-pool buffers on boundary PEs all carry
-                    // the primary field's boundary condition.
-                    std::string initField;
-                    if (fieldInits_.count(name))
-                        initField = name;
-                    else if (var->hasAttr(ir::attrs::kInitAs))
-                        initField = var->strAttr(ir::attrs::kInitAs);
-                    if (boundaryPe && !primaryField.empty() &&
-                        rotationPool.count(name))
-                        initField = primaryField;
-                    auto it = fieldInits_.find(initField);
-                    if (it != fieldInits_.end()) {
-                        for (size_t z = 0; z < buf.size(); ++z)
-                            buf[z] = it->second(x, y,
-                                                static_cast<int>(z));
-                    }
-                } else if (csl::isPtrType(type)) {
-                    env.ptrs[name] =
-                        ir::stringAttrValue(var->attr(ir::attrs::kInit));
-                } else {
-                    int64_t init = 0;
-                    if (ir::Attribute a = var->attr(ir::attrs::kInit))
-                        init = ir::intAttrValue(a);
-                    pe.scalar(name) = static_cast<double>(init);
-                }
+    for (const auto &[name, var] : variables_) {
+        if (var->hasAttr(ir::attrs::kComptimeRole))
+            rolePlans_.push_back({sim_.scalarNames().intern(name), -1});
+        if (ir::Attribute site = var->attr(ir::attrs::kComptimeRoleSite))
+            rolePlans_.push_back(
+                {sim_.scalarNames().intern(name),
+                 static_cast<int>(
+                     commOfRecvCb_.at(ir::stringAttrValue(site)))});
+        if (var->hasAttr(ir::attrs::kCommsOwned))
+            continue; // StarComm::setup allocates these.
+        ir::Type type = ir::typeAttrValue(var->attr(ir::attrs::kType));
+        VarPlan plan;
+        plan.name = name;
+        if (ir::isMemRef(type)) {
+            // Host data transfer: fields get their own init; result
+            // buffers inherit from their target field; rotation-pool
+            // buffers on boundary PEs all carry the primary field's
+            // boundary condition.
+            plan.kind = VarPlan::Kind::Buffer;
+            plan.buf = sim_.bufferNames().intern(name);
+            plan.elems = static_cast<size_t>(ir::numElementsOf(type));
+            std::string initField;
+            if (fieldInits_.count(name))
+                initField = name;
+            else if (var->hasAttr(ir::attrs::kInitAs))
+                initField = var->strAttr(ir::attrs::kInitAs);
+            plan.interiorInit = fieldOf(initField);
+            plan.boundaryInit =
+                !primaryField.empty() && rotationPool.count(name)
+                    ? fieldOf(primaryField)
+                    : plan.interiorInit;
+            addColumn(interiorColumns_, plan.interiorInit, plan.elems);
+            addColumn(boundaryColumns_, plan.boundaryInit, plan.elems);
+        } else if (csl::isPtrType(type)) {
+            plan.kind = VarPlan::Kind::Pointer;
+            plan.target = ir::stringAttrValue(var->attr(ir::attrs::kInit));
+        } else {
+            plan.kind = VarPlan::Kind::Scalar;
+            plan.scalar = sim_.scalarNames().intern(name);
+            if (ir::Attribute a = var->attr(ir::attrs::kInit))
+                plan.init = static_cast<double>(ir::intAttrValue(a));
+        }
+        varPlans_.push_back(std::move(plan));
+    }
+}
+
+wse::TaskId
+CslProgramInstance::programTask(const std::string &name) const
+{
+    wse::TaskId id = sim_.taskNames().find(name);
+    WSC_ASSERT(id.valid(), "activating unknown task `" << name << "`");
+    return id;
+}
+
+void
+CslProgramInstance::resolveHandles()
+{
+    const size_t numVars = varNames_.size();
+    handles_.scalar.assign(numVars, {});
+    handles_.buffer.assign(numVars, {});
+    handles_.ptrInit.assign(numVars, {});
+    for (size_t i = 0; i < numVars; ++i) {
+        const std::string &name = varNames_[i];
+        bool isBufOrPtr = false;
+        auto vit = variables_.find(name);
+        if (vit != variables_.end()) {
+            ir::Type t =
+                ir::typeAttrValue(vit->second->attr(ir::attrs::kType));
+            isBufOrPtr = ir::isMemRef(t) || csl::isPtrType(t);
+            if (csl::isPtrType(t)) {
+                std::string target = ir::stringAttrValue(
+                    vit->second->attr(ir::attrs::kInit));
+                handles_.ptrInit[i] = sim_.bufferNames().find(target);
+                WSC_ASSERT(handles_.ptrInit[i].valid(),
+                           "pointer `" << name << "` targets no buffer `"
+                                       << target << "`");
             }
         }
-    }
-
-    // StarComm setup after variables (its receive buffers count towards
-    // the same 48 kB).
-    for (auto &comm : comms_)
-        comm->setup();
-
-    // Comptime role flags depend on the comm sites' view of the grid.
-    // Tasks are registered next, and then the per-PE dense-handle tables
-    // (PeRt) are resolved once — after StarComm::setup so library-owned
-    // receive buffers resolve, and after registration so activation
-    // targets resolve. The opcode loop never touches a string.
-    if (!referenceMode_) {
-        peRts_.resize(peEnvs_.size());
-        frames_.resize(static_cast<size_t>(sim_.shardCount()));
-    }
-    for (int x = 0; x < sim_.width(); ++x) {
-        for (int y = 0; y < sim_.height(); ++y) {
-            wse::Pe &pe = sim_.pe(x, y);
-            size_t peIdx = static_cast<size_t>(x) * sim_.height() + y;
-            for (const auto &[name, var] : variables_) {
-                if (var->hasAttr(ir::attrs::kComptimeRole))
-                    pe.scalar(name) =
-                        interiorEverywhere(x, y) ? 1.0 : 0.0;
-                if (ir::Attribute site = var->attr(ir::attrs::kComptimeRoleSite)) {
-                    size_t idx =
-                        commOfRecvCb_.at(ir::stringAttrValue(site));
-                    pe.scalar(name) =
-                        comms_[idx]->expectedSections(x, y) > 0 ? 1.0
-                                                                : 0.0;
-                }
-            }
-
-            // Register every callable as an activatable task. Body
-            // index, step-marker role and comms site are resolved here,
-            // once, instead of per activation.
-            for (const auto &[name, op] : callables_) {
-                const bool marksStep = name == "for_cond0";
-                if (referenceMode_) {
-                    std::string taskName = name;
-                    pe.registerTask(
-                        taskName, wse::TaskKind::Local,
-                        [this, op, peIdx, marksStep,
-                         taskName](wse::TaskContext &ctx) {
-                            if (marksStep)
-                                stepMarks_[peIdx].push_back(
-                                    ctx.startCycle());
-                            SsaEnv env;
-                            ir::Block *body = csl::calleeBody(op);
-                            if (body->numArguments() == 1) {
-                                // Receive-chunk callback: bind the chunk
-                                // offset provided by the comms library.
-                                size_t site = commOfRecvCb_.at(taskName);
-                                RtValue offset;
-                                offset.kind = RtValue::Kind::Num;
-                                offset.num = static_cast<double>(
-                                    comms_[site]
-                                        ->popCompletedChunkOffset(
-                                            ctx.pe()));
-                                env[body->argument(0).impl()] = offset;
-                            }
-                            execBody(body, env, peEnvs_[peIdx], ctx);
-                        });
-                    continue;
-                }
-                const int bodyIdx = bodyOf_.at(name);
-                const bool wantsOffset =
-                    bodies_[bodyIdx].argSlots.size() == 1;
-                int site = -1;
-                if (wantsOffset) {
-                    // Resolved lazily-diagnosed: a 1-argument task that
-                    // is not a registered receive callback only errors
-                    // if it is actually activated (as before PR 2).
-                    auto it = commOfRecvCb_.find(name);
-                    site = it != commOfRecvCb_.end()
-                               ? static_cast<int>(it->second)
-                               : -1;
-                }
-                pe.registerTask(
-                    name, wse::TaskKind::Local,
-                    [this, bodyIdx, site, wantsOffset, peIdx,
-                     marksStep](wse::TaskContext &ctx) {
-                        if (marksStep)
-                            stepMarks_[peIdx].push_back(
-                                ctx.startCycle());
-                        const CompiledBody &cb = bodies_[bodyIdx];
-                        FrameStack &frames = framesOf(ctx);
-                        std::vector<RtValue> slots =
-                            frames.acquire(cb.numSlots);
-                        if (wantsOffset) {
-                            WSC_ASSERT(
-                                site >= 0,
-                                "task with a chunk-offset argument is "
-                                "not a comms receive callback");
-                            // Receive-chunk callback: bind the chunk
-                            // offset provided by the comms library.
-                            RtValue &offset = slots[cb.argSlots[0]];
-                            offset.kind = RtValue::Kind::Num;
-                            offset.num = static_cast<double>(
-                                comms_[site]->popCompletedChunkOffset(
-                                    ctx.pe()));
-                        }
-                        execSwitch(bodyIdx, slots, peEnvs_[peIdx],
-                                   peRts_[peIdx], ctx);
-                        frames.release(std::move(slots));
-                    });
-            }
-
-            if (referenceMode_)
-                continue;
-
-            // --- Dense-handle tables (the resolve-once step) ---------
-            PeRt &rt = peRts_[peIdx];
-            rt.scalarId.assign(varNames_.size(), {});
-            rt.bufferId.assign(varNames_.size(), {});
-            rt.ptrTarget.assign(varNames_.size(), {});
-            for (size_t i = 0; i < varNames_.size(); ++i) {
-                const std::string &name = varNames_[i];
-                bool isBufOrPtr = false;
-                auto vit = variables_.find(name);
-                if (vit != variables_.end()) {
-                    ir::Type t =
-                        ir::typeAttrValue(vit->second->attr(ir::attrs::kType));
-                    isBufOrPtr = ir::isMemRef(t) || csl::isPtrType(t);
-                    if (csl::isPtrType(t))
-                        rt.ptrTarget[i] = pe.bufferId(
-                            ir::stringAttrValue(
-                                vit->second->attr(ir::attrs::kInit)));
-                }
-                if (wse::BufferId buf = pe.findBuffer(name);
-                    buf.valid())
-                    rt.bufferId[i] = buf;
-                else if (!isBufOrPtr)
-                    rt.scalarId[i] = pe.scalarId(name);
-            }
-            rt.taskId.reserve(taskNames_.size());
-            for (const std::string &task : taskNames_)
-                rt.taskId.push_back(pe.taskId(task));
-            rt.commRecv.reserve(comms_.size());
-            rt.commDone.reserve(comms_.size());
-            for (const auto &[recvCb, doneCb] : siteCbNames_) {
-                rt.commRecv.push_back(pe.taskId(recvCb));
-                rt.commDone.push_back(pe.taskId(doneCb));
-            }
-            resolveColdChecks(pe, rt);
+        handles_.buffer[i] = sim_.bufferNames().find(name);
+        if (!handles_.buffer[i].valid() && !isBufOrPtr) {
+            handles_.scalar[i] = sim_.scalarNames().intern(name);
+            if (vit == variables_.end())
+                extraScalars_.push_back(handles_.scalar[i]);
         }
     }
+    for (const std::string &task : taskNames_)
+        handles_.task.push_back(programTask(task));
+    for (const auto &[recvCb, doneCb] : siteCbNames_) {
+        handles_.commRecv.push_back(programTask(recvCb));
+        handles_.commDone.push_back(programTask(doneCb));
+    }
+
+    // Every scalar-accessing instruction must hold a valid handle NOW —
+    // the handlers use unchecked access and never fall back to name
+    // interning. A scalar op naming a buffer is a type-inconsistent
+    // program; diagnose it here, not mid-run.
+    for (const CompiledBody &body : bodies_)
+        for (const Instr &ins : body.code)
+            if (ins.op == Opcode::LoadScalar ||
+                ins.op == Opcode::StoreScalar)
+                WSC_ASSERT(handles_.scalar[ins.var].valid(),
+                           "scalar access to non-scalar variable `"
+                               << varNames_[ins.var] << "`");
 }
 
 void
 CslProgramInstance::resolveColdChecks(wse::Pe &pe, PeRt &rt)
 {
-    // Part 1: cache every buffer's data vector. Pe stores buffer slots
-    // in a deque, so the pointers are stable for the run.
-    // A variable with no live buffer travels as nullptr and panics on
-    // first element access (Dsd::at) — the same program point the
-    // per-access guard used to fire at, one instruction later.
-    rt.bufferData.assign(varNames_.size(), nullptr);
-    rt.ptrData.assign(varNames_.size(), nullptr);
-    for (size_t i = 0; i < varNames_.size(); ++i) {
-        if (rt.bufferId[i].valid())
-            rt.bufferData[i] = &pe.buffer(rt.bufferId[i]);
+    // Var-table scalars the module does not declare read as 0.
+    for (wse::ScalarId id : extraScalars_)
+        pe.defineScalar(id, 0.0);
+    // Cache every buffer's data vector. Pe stores buffer slots in a
+    // deque, so the pointers are stable for the run. A variable with no
+    // live buffer travels as nullptr and panics on first element access
+    // (Dsd::at) — the same program point the per-access guard used to
+    // fire at, one instruction later.
+    const size_t numVars = varNames_.size();
+    rt.bufferData.assign(numVars, nullptr);
+    rt.ptrTarget = handles_.ptrInit;
+    rt.ptrData.assign(numVars, nullptr);
+    for (size_t i = 0; i < numVars; ++i) {
+        if (handles_.buffer[i].valid())
+            rt.bufferData[i] = pe.liveBuffer(handles_.buffer[i]);
         if (rt.ptrTarget[i].valid())
             rt.ptrData[i] = &pe.buffer(rt.ptrTarget[i]);
     }
-
-    // Part 2: every scalar-accessing instruction must hold a valid
-    // handle NOW — the handlers use unchecked access and never fall back
-    // to name interning. A scalar op naming a buffer is a
-    // type-inconsistent program; diagnose it here, not mid-run.
-    for (const CompiledBody &body : bodies_)
-        for (const Instr &ins : body.code)
-            if (ins.op == Opcode::LoadScalar ||
-                ins.op == Opcode::StoreScalar)
-                WSC_ASSERT(rt.scalarId[ins.var].valid(),
-                           "scalar access to non-scalar variable `"
-                               << varNames_[ins.var] << "`");
 }
 
 void
@@ -691,9 +735,10 @@ CslProgramInstance::launch()
     launched_ = true;
     peUnblocked_.assign(
         static_cast<size_t>(sim_.width()) * sim_.height(), 0);
+    const wse::TaskId fMain = sim_.pe(0, 0).taskId("f_main");
     for (int x = 0; x < sim_.width(); ++x)
         for (int y = 0; y < sim_.height(); ++y)
-            sim_.pe(x, y).activate("f_main", 0);
+            sim_.pe(x, y).activate(fMain, 0);
 }
 
 //===----------------------------------------------------------------------===
@@ -738,12 +783,35 @@ CslProgramInstance::frameStats() const
 }
 
 void
-CslProgramInstance::runCompiledCallable(int bodyIdx, PeEnv &peEnv,
-                                        PeRt &peRt, wse::TaskContext &ctx)
+CslProgramInstance::runTask(int bodyIdx, wse::TaskContext &ctx)
+{
+    const CompiledBody &cb = bodies_[bodyIdx];
+    const uint32_t peIdx = ctx.pe().id();
+    if (cb.marksStep)
+        stepMarks_[peIdx].push_back(ctx.startCycle());
+    FrameStack &frames = framesOf(ctx);
+    std::vector<RtValue> slots = frames.acquire(cb.numSlots);
+    if (cb.wantsOffset) {
+        WSC_ASSERT(cb.site >= 0, "task with a chunk-offset argument is "
+                                 "not a comms receive callback");
+        // Receive-chunk callback: bind the chunk offset provided by the
+        // comms library.
+        RtValue &offset = slots[cb.argSlots[0]];
+        offset.kind = RtValue::Kind::Num;
+        offset.num = static_cast<double>(
+            comms_[cb.site]->popCompletedChunkOffset(ctx.pe()));
+    }
+    execSwitch(bodyIdx, slots, peRts_[peIdx], ctx);
+    frames.release(std::move(slots));
+}
+
+void
+CslProgramInstance::runCompiledCallable(int bodyIdx, PeRt &peRt,
+                                        wse::TaskContext &ctx)
 {
     FrameStack &frames = framesOf(ctx);
     std::vector<RtValue> slots = frames.acquire(bodies_[bodyIdx].numSlots);
-    execSwitch(bodyIdx, slots, peEnv, peRt, ctx);
+    execSwitch(bodyIdx, slots, peRt, ctx);
     frames.release(std::move(slots));
 }
 
@@ -762,8 +830,7 @@ CslProgramInstance::runCompiledCallable(int bodyIdx, PeEnv &peEnv,
  */
 void
 CslProgramInstance::execSwitch(int bodyIdx, std::vector<RtValue> &slots,
-                               PeEnv &peEnv, PeRt &peRt,
-                               wse::TaskContext &ctx)
+                               PeRt &peRt, wse::TaskContext &ctx)
 {
     wse::Pe &pe = ctx.pe();
     for (const Instr *pc = bodies_[bodyIdx].code.data();; ++pc) {
@@ -817,20 +884,20 @@ CslProgramInstance::execSwitch(int bodyIdx, std::vector<RtValue> &slots,
             ctx.consume(1);
             int branch = cond ? ins.body0 : ins.body1;
             if (branch >= 0)
-                execSwitch(branch, slots, peEnv, peRt, ctx);
+                execSwitch(branch, slots, peRt, ctx);
         } break;
         case Opcode::Return:
             return;
         case Opcode::LoadScalar: {
             RtValue &v = slots[ins.dst];
             v.kind = RtValue::Kind::Num;
-            v.num = pe.scalarUnchecked(peRt.scalarId[ins.var]);
+            v.num = pe.scalarUnchecked(handles_.scalar[ins.var]);
             ctx.consume(1);
         } break;
         case Opcode::LoadBuffer: {
             RtValue &v = slots[ins.dst];
             v.kind = RtValue::Kind::Buffer;
-            v.buf = peRt.bufferId[ins.var];
+            v.buf = handles_.buffer[ins.var];
             v.dsd.buf = peRt.bufferData[ins.var];
             ctx.consume(1);
         } break;
@@ -849,7 +916,7 @@ CslProgramInstance::execSwitch(int bodyIdx, std::vector<RtValue> &slots,
             ctx.consume(1);
         } break;
         case Opcode::StoreScalar: {
-            pe.scalarUnchecked(peRt.scalarId[ins.var]) = slots[ins.a].num;
+            pe.scalarUnchecked(handles_.scalar[ins.var]) = slots[ins.a].num;
             ctx.consume(1);
         } break;
         case Opcode::StorePtr: {
@@ -861,13 +928,13 @@ CslProgramInstance::execSwitch(int bodyIdx, std::vector<RtValue> &slots,
         case Opcode::AddressOf: {
             RtValue &v = slots[ins.dst];
             v.kind = RtValue::Kind::Ptr;
-            v.buf = peRt.bufferId[ins.var];
+            v.buf = handles_.buffer[ins.var];
             v.dsd.buf = peRt.bufferData[ins.var];
         } break;
         case Opcode::GetMemDsd: {
             RtValue &v = slots[ins.dst];
             v.kind = RtValue::Kind::DsdVal;
-            v.buf = peRt.bufferId[ins.var];
+            v.buf = handles_.buffer[ins.var];
             v.dsd.buf = peRt.bufferData[ins.var];
             v.dsd.offset = ins.offset;
             v.dsd.length = ins.length;
@@ -920,19 +987,20 @@ CslProgramInstance::execSwitch(int bodyIdx, std::vector<RtValue> &slots,
             break;
         case Opcode::Call:
             WSC_ASSERT(ins.body0 >= 0, "call of unknown symbol " << *ins.str);
-            runCompiledCallable(ins.body0, peEnv, peRt, ctx);
+            runCompiledCallable(ins.body0, peRt, ctx);
             ctx.consume(2);
             break;
         case Opcode::Activate:
-            pe.activate(peRt.taskId[ins.task], ctx.currentCycle());
+            pe.activate(handles_.task[ins.task], ctx.currentCycle());
             ctx.consume(2);
             break;
         case Opcode::CommsExchange: {
             const RtValue &send = slots[ins.a];
             WSC_ASSERT(send.kind == RtValue::Kind::DsdVal,
                        "comms_exchange expects a DSD operand");
-            comms_[ins.site]->exchange(ctx, send.buf, peRt.commRecv[ins.site],
-                                       peRt.commDone[ins.site]);
+            comms_[ins.site]->exchange(ctx, send.buf,
+                                       handles_.commRecv[ins.site],
+                                       handles_.commDone[ins.site]);
             ctx.consume(4);
         } break;
         case Opcode::UnblockCmdStream:
@@ -969,6 +1037,29 @@ CslProgramInstance::asDsdOperand(const RtValue &v) const
     WSC_ASSERT(v.kind == RtValue::Kind::Num,
                "builtin operand must be a DSD or scalar");
     return wse::DsdOperand::fromScalar(static_cast<float>(v.num));
+}
+
+void
+CslProgramInstance::runReferenceTask(ir::Operation *callable,
+                                     wse::TaskContext &ctx)
+{
+    const std::string &name = callable->strAttr(ir::attrs::kSymName);
+    const uint32_t peIdx = ctx.pe().id();
+    if (name == "for_cond0")
+        stepMarks_[peIdx].push_back(ctx.startCycle());
+    SsaEnv env;
+    ir::Block *body = csl::calleeBody(callable);
+    if (body->numArguments() == 1) {
+        // Receive-chunk callback: bind the chunk offset provided by the
+        // comms library.
+        size_t site = commOfRecvCb_.at(name);
+        RtValue offset;
+        offset.kind = RtValue::Kind::Num;
+        offset.num = static_cast<double>(
+            comms_[site]->popCompletedChunkOffset(ctx.pe()));
+        env[body->argument(0).impl()] = offset;
+    }
+    execBody(body, env, peEnvs_[peIdx], ctx);
 }
 
 void
@@ -1199,33 +1290,25 @@ CslProgramInstance::execBody(ir::Block *block, SsaEnv &env, PeEnv &peEnv,
 std::vector<float>
 CslProgramInstance::readFieldColumn(const std::string &field, int x, int y)
 {
-    // Resolve through the program's result mapping.
-    std::string var = field;
-    bool viaPtr = false;
-    if (ir::Attribute results = program_->attr(ir::attrs::kResultFields)) {
-        for (ir::Attribute entry : ir::arrayAttrValue(results)) {
-            if (ir::stringAttrValue(ir::dictAttrGet(entry, "field")) ==
-                field) {
-                var = ir::stringAttrValue(ir::dictAttrGet(entry, "var"));
-                viaPtr =
-                    ir::intAttrValue(ir::dictAttrGet(entry, "via_ptr")) !=
-                    0;
-            }
-        }
-    }
-    size_t peIdx = static_cast<size_t>(x) * sim_.height() + y;
-    if (!referenceMode_ && viaPtr) {
-        // Compiled mode tracks pointer rotation in the dense-handle
-        // tables, not the (reference-mode) string environment.
-        auto it = varIndex_.find(var);
-        WSC_ASSERT(it != varIndex_.end(), "unknown pointer variable `"
-                                              << var << "`");
-        return sim_.pe(x, y).buffer(
-            peRts_[peIdx].ptrTarget[it->second]);
-    }
-    PeEnv &env = peEnvs_[peIdx];
-    std::string bufName = viaPtr ? env.ptrs.at(var) : var;
-    return sim_.pe(x, y).buffer(bufName);
+    // Resolve through the program's result mapping (read at
+    // configure()).
+    WSC_ASSERT(configured_, "readFieldColumn before configure");
+    auto mapped = resultFields_.find(field);
+    const std::string &var =
+        mapped != resultFields_.end() ? mapped->second.var : field;
+    const bool viaPtr =
+        mapped != resultFields_.end() && mapped->second.viaPtr;
+    wse::Pe &pe = sim_.pe(x, y);
+    if (!viaPtr)
+        return pe.buffer(var);
+    if (referenceMode_)
+        return pe.buffer(peEnvs_[pe.id()].ptrs.at(var));
+    // Compiled mode tracks pointer rotation in the dense-handle tables,
+    // not the (reference-mode) string environment.
+    auto it = varIndex_.find(var);
+    WSC_ASSERT(it != varIndex_.end(), "unknown pointer variable `" << var
+                                                                   << "`");
+    return pe.buffer(peRts_[pe.id()].ptrTarget[it->second]);
 }
 
 const std::vector<wse::Cycles> &

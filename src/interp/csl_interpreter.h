@@ -7,13 +7,18 @@
  * generated program structure (tasks, callbacks, DSD builtins, chunked
  * exchanges) is what gets measured.
  *
- * configure() pre-decodes every callable body once into a flat vector
- * of opcode + operand-slot instructions (SSA values become dense slot
- * indices; attributes and comms specs are resolved up front) and
- * resolves the cold checks: scalar handles are validated and buffer
- * data pointers cached per PE, so the hot loop performs no validity
- * checks or name lookups. Each task activation then runs one portable
- * `for(;;) switch` loop over its body (docs/architecture.md §8).
+ * configure() resolves everything that is the same on every PE once
+ * per program: it pre-decodes every callable body into a flat vector of
+ * opcode + operand-slot instructions (SSA values become dense slot
+ * indices; attributes and comms specs are resolved up front), builds a
+ * per-variable plan (kind, size, initial field, role flags), resolves
+ * the scalar/buffer/task/comms handles in one program-wide table (the
+ * simulator's name tables give a name the same handle on every PE) and
+ * validates the scalar accesses. The per-PE loop then only allocates
+ * buffers, copies initial data, sets role flags and caches buffer data
+ * pointers, so the hot loop performs no validity checks or name
+ * lookups. Each task activation runs one portable `for(;;) switch`
+ * loop over its body (docs/architecture.md §8).
  *
  * The original tree-walking evaluator is kept behind
  * setReferenceMode(true) as the semantic oracle: the compiled path must
@@ -120,10 +125,51 @@ class CslProgramInstance
         wse::Dsd dsd;
     };
 
+    /** Reference-mode pointer-variable targets (buffer names). */
     struct PeEnv
     {
-        /** Pointer-variable targets (buffer names). */
         std::map<std::string, std::string> ptrs;
+    };
+
+    /** What configure() does to every PE for one module variable,
+     *  resolved once per program. */
+    struct VarPlan
+    {
+        enum class Kind { Buffer, Pointer, Scalar };
+        Kind kind = Kind::Scalar;
+        std::string name;
+        /// @name Buffer
+        /// @{
+        wse::BufferId buf;
+        size_t elems = 0;
+        /** Index into initFields_ of the column copied in on interior
+         *  and on boundary PEs; -1 leaves the buffer zeroed. */
+        int interiorInit = -1;
+        int boundaryInit = -1;
+        /// @}
+        /** Pointer: the initial target buffer's name. */
+        std::string target;
+        /// @name Scalar
+        /// @{
+        wse::ScalarId scalar;
+        double init = 0.0;
+        /// @}
+    };
+
+    /** A comptime role flag: 1 on PEs that compute, 0 on boundary PEs,
+     *  for every comms site (site -1) or for one. */
+    struct RolePlan
+    {
+        wse::ScalarId scalar;
+        int site = -1;
+    };
+
+    /** One host field column loaded on one kind of PE: initFields_
+     *  index and the length covering every buffer it initialises. */
+    struct ColumnPlan
+    {
+        int field = -1;
+        size_t elems = 0;
     };
 
     /// @name Pre-decoded form
@@ -166,6 +212,16 @@ class CslProgramInstance
         uint32_t numSlots = 0;
         /** Callable entry-block argument slots, in order. */
         std::vector<int32_t> argSlots;
+        /// @name Task entry (callable roots only)
+        /// @{
+        /** for_cond0 records a per-step marker at each dispatch. */
+        bool marksStep = false;
+        /** The body takes the chunk offset of a comms receive. */
+        bool wantsOffset = false;
+        /** Comms site whose receive callback this is; -1 if none (an
+         *  offset-taking task that is not one panics when run). */
+        int site = -1;
+        /// @}
     };
 
     /**
@@ -196,18 +252,35 @@ class CslProgramInstance
     };
 
     /**
-     * Per-PE pre-resolved dense handles, built once at configure():
-     * the opcode loop touches no strings, and scalar handles are
-     * pre-validated and buffer data pointers pre-resolved so the hot
-     * handlers carry no per-access checks.
+     * Program-wide dense handles, resolved once at configure(). The
+     * simulator's name tables give a name the same handle on every PE,
+     * so the opcode loop indexes these with no per-PE table and no
+     * string.
      */
-    struct PeRt
+    struct Handles
     {
         /** Scalar handle per var-table index (invalid = not a scalar;
          *  validated at configure for every scalar-accessing instr). */
-        std::vector<wse::ScalarId> scalarId;
+        std::vector<wse::ScalarId> scalar;
         /** Buffer handle per var-table index (invalid = no buffer). */
-        std::vector<wse::BufferId> bufferId;
+        std::vector<wse::BufferId> buffer;
+        /** Initial pointer target per var-table index (invalid = not
+         *  a pointer variable). */
+        std::vector<wse::BufferId> ptrInit;
+        /** Task handle per task-table index (Activate targets). */
+        std::vector<wse::TaskId> task;
+        /** Receive / done callback task per comms site. */
+        std::vector<wse::TaskId> commRecv;
+        std::vector<wse::TaskId> commDone;
+    };
+
+    /**
+     * Per-PE data the opcode loop needs, built once at configure():
+     * buffer data pointers are pre-resolved so the hot handlers carry
+     * no per-access checks, and pointer rotation is per-PE state.
+     */
+    struct PeRt
+    {
         /** Buffer data per var-table index (nullptr = no buffer);
          *  stable for the run — Pe buffer slots live in a deque. */
         std::vector<std::vector<float> *> bufferData;
@@ -216,11 +289,13 @@ class CslProgramInstance
         std::vector<wse::BufferId> ptrTarget;
         /** Data of ptrTarget, kept in lock step by StorePtr. */
         std::vector<std::vector<float> *> ptrData;
-        /** Task handle per task-table index (Activate targets). */
-        std::vector<wse::TaskId> taskId;
-        /** Receive / done callback task per comms site. */
-        std::vector<wse::TaskId> commRecv;
-        std::vector<wse::TaskId> commDone;
+    };
+
+    /** Where readFieldColumn() finds a field (the result mapping). */
+    struct ResultField
+    {
+        std::string var;
+        bool viaPtr = false;
     };
 
     class Compiler;
@@ -229,14 +304,26 @@ class CslProgramInstance
     void compileProgram();
     /** Append the Return sentinel the exec loop relies on. */
     void sealBodies();
-    /** Validate scalar handles and cache buffer data for one PE's
-     *  dense tables (panics at configure, not mid-run). */
+    /** Build the variable, role and column plans (both modes). */
+    void planVariables();
+    /** Resolve the program-wide handle table, after StarComm::setup so
+     *  library-owned receive buffers resolve, and validate every scalar
+     *  access once (panics at configure, not mid-run). */
+    void resolveHandles();
+    /** Cache one PE's buffer data pointers (compiled mode). */
     void resolveColdChecks(wse::Pe &pe, PeRt &rt);
+    /** Handle of a task this program registers; panics when unknown. */
+    wse::TaskId programTask(const std::string &name) const;
 
+    /** The compiled task entry: one closure per callable, the PE comes
+     *  from ctx. */
+    void runTask(int bodyIdx, wse::TaskContext &ctx);
+    /** The reference-mode task entry. */
+    void runReferenceTask(ir::Operation *callable, wse::TaskContext &ctx);
     /** Run one compiled body (the per-PE hot loop). */
-    void execSwitch(int bodyIdx, std::vector<RtValue> &slots,
-                    PeEnv &peEnv, PeRt &peRt, wse::TaskContext &ctx);
-    void runCompiledCallable(int bodyIdx, PeEnv &peEnv, PeRt &peRt,
+    void execSwitch(int bodyIdx, std::vector<RtValue> &slots, PeRt &peRt,
+                    wse::TaskContext &ctx);
+    void runCompiledCallable(int bodyIdx, PeRt &peRt,
                              wse::TaskContext &ctx);
     /** The frame stack of the shard executing `ctx`. */
     FrameStack &
@@ -266,8 +353,20 @@ class CslProgramInstance
     std::map<ir::Operation *, size_t> commSiteOf_;
     /** comms site per receive-callback task name. */
     std::map<std::string, size_t> commOfRecvCb_;
+    /** Reference mode only. */
     std::vector<PeEnv> peEnvs_;
     std::vector<std::vector<wse::Cycles>> stepMarks_;
+    /** Per-variable plan (module variables, comms-owned ones
+     *  excluded) and comptime role flags. */
+    std::vector<VarPlan> varPlans_;
+    std::vector<RolePlan> rolePlans_;
+    /** Host fields that initialise some buffer, and the columns each
+     *  kind of PE loads from them. */
+    std::vector<const FieldInitFn *> initFields_;
+    std::vector<ColumnPlan> interiorColumns_;
+    std::vector<ColumnPlan> boundaryColumns_;
+    /** Result mapping per host field (program result_fields). */
+    std::map<std::string, ResultField> resultFields_;
     /** Atomic: incremented from any shard's worker thread. */
     std::atomic<uint64_t> unblockCount_{0};
     /**
@@ -291,12 +390,16 @@ class CslProgramInstance
     std::map<std::string, int> bodyOf_;
     std::vector<std::string> varNames_;
     std::map<std::string, int32_t> varIndex_;
-    /** Activate-target task names (per-PE handles live in PeRt). */
+    /** Activate-target task names (handles live in handles_). */
     std::vector<std::string> taskNames_;
     std::map<std::string, int32_t> taskIndex_;
     /** Receive / done callback names per comms site. */
     std::vector<std::pair<std::string, std::string>> siteCbNames_;
     std::deque<std::string> stringPool_;
+    Handles handles_;
+    /** Var-table scalars that are not module variables: defined (0) on
+     *  every PE. */
+    std::vector<wse::ScalarId> extraScalars_;
     std::vector<PeRt> peRts_;
     /** Recycled activation frames, one stack per simulator shard. */
     std::vector<FrameStack> frames_;

@@ -23,7 +23,6 @@ TaskContext::dsdOp(uint64_t elems, int flopsPerElem, int bytesPerElem)
 Pe::Pe(Simulator &sim, Shard &shard, int x, int y, uint32_t id)
     : sim_(sim), shard_(shard), x_(x), y_(y), id_(id)
 {
-    scalars_.reserve(16);
 }
 
 Cycles
@@ -54,27 +53,27 @@ void
 Pe::checkBufferLive(BufferId id) const
 {
     WSC_ASSERT(id.index >= 0 &&
-                   static_cast<size_t>(id.index) < buffers_.size(),
+                   static_cast<size_t>(id.index) < sim_.bufferNames().size(),
                "invalid buffer handle " << id.index << " on PE (" << x_
                                         << ", " << y_ << ")");
-    WSC_ASSERT(buffers_[static_cast<size_t>(id.index)].live,
-               "use of freed buffer `"
-                   << buffers_[static_cast<size_t>(id.index)].name
-                   << "` on PE (" << x_ << ", " << y_ << ")");
+    WSC_ASSERT(bufferLive(id.index), "use of unallocated or freed buffer `"
+                                         << sim_.bufferNames().name(id)
+                                         << "` on PE (" << x_ << ", " << y_
+                                         << ")");
 }
 
 void
 Pe::checkScalar(ScalarId id) const
 {
-    WSC_ASSERT(id.index >= 0 &&
-                   static_cast<size_t>(id.index) < scalars_.size(),
-               "invalid scalar handle " << id.index << " on PE (" << x_
-                                        << ", " << y_ << ")");
+    WSC_ASSERT(scalarPresent(id.index), "invalid scalar handle "
+                                            << id.index << " on PE (" << x_
+                                            << ", " << y_ << ")");
 }
 
-BufferId
-Pe::allocBufferId(const std::string &name, size_t elems)
+std::vector<float> &
+Pe::allocBuffer(BufferId id, size_t elems)
 {
+    const std::string &name = bufferName(id);
     size_t bytes = elems * sizeof(float);
     if (bytesUsed_ + bytes >
         static_cast<size_t>(sim_.params().peMemoryBytes)) {
@@ -82,34 +81,55 @@ Pe::allocBufferId(const std::string &name, size_t elems)
                      name, "` (", elems, " elems): ", bytesUsed_, " + ",
                      bytes, " > ", sim_.params().peMemoryBytes, " bytes"));
     }
-    auto [it, inserted] = bufferIds_.try_emplace(
-        name, static_cast<int32_t>(buffers_.size()));
-    if (inserted) {
-        buffers_.push_back(BufferSlot{name, {}, true});
-    } else {
-        // Re-allocation after freeBuffer() reuses the slot (and the
-        // handle); double allocation of a live name is an error.
-        BufferSlot &slot = buffers_[static_cast<size_t>(it->second)];
-        WSC_ASSERT(!slot.live,
-                   "buffer `" << name << "` already allocated on PE ("
-                              << x_ << ", " << y_ << ")");
-        slot.live = true;
-    }
+    // Grow to the whole table at once: a program interns its names
+    // before it allocates, so each PE resizes once.
+    if (static_cast<size_t>(id.index) >= buffers_.size())
+        buffers_.resize(sim_.bufferNames().size());
+    // Re-allocation after freeBuffer() reuses the slot (and the
+    // handle); double allocation of a live name is an error.
+    BufferSlot &slot = buffers_[static_cast<size_t>(id.index)];
+    WSC_ASSERT(!slot.live, "buffer `" << name
+                                      << "` already allocated on PE ("
+                                      << x_ << ", " << y_ << ")");
+    slot.live = true;
     bytesUsed_ += bytes;
-    buffers_[static_cast<size_t>(it->second)].data.assign(elems, 0.0f);
-    return BufferId{it->second};
+    slot.data.assign(elems, 0.0f);
+    return slot.data;
+}
+
+BufferId
+Pe::allocBufferId(const std::string &name, size_t elems)
+{
+    BufferId id = sim_.bufferNames().intern(name);
+    allocBuffer(id, elems);
+    return id;
 }
 
 std::vector<float> &
 Pe::allocBuffer(const std::string &name, size_t elems)
 {
-    return buffer(allocBufferId(name, elems));
+    return allocBuffer(sim_.bufferNames().intern(name), elems);
 }
 
 std::vector<float> &
 Pe::buffer(const std::string &name)
 {
     return buffer(bufferId(name));
+}
+
+bool
+Pe::bufferLive(int32_t index) const
+{
+    return index >= 0 && static_cast<size_t>(index) < buffers_.size() &&
+           buffers_[static_cast<size_t>(index)].live;
+}
+
+std::vector<float> *
+Pe::liveBuffer(BufferId id)
+{
+    return bufferLive(id.index)
+               ? &buffers_[static_cast<size_t>(id.index)].data
+               : nullptr;
 }
 
 BufferId
@@ -124,20 +144,14 @@ Pe::bufferId(const std::string &name) const
 BufferId
 Pe::findBuffer(const std::string &name) const
 {
-    auto it = bufferIds_.find(name);
-    if (it == bufferIds_.end() ||
-        !buffers_[static_cast<size_t>(it->second)].live)
-        return BufferId{};
-    return BufferId{it->second};
+    BufferId id = sim_.bufferNames().find(name);
+    return bufferLive(id.index) ? id : BufferId{};
 }
 
 const std::string &
 Pe::bufferName(BufferId id) const
 {
-    WSC_ASSERT(id.index >= 0 &&
-                   static_cast<size_t>(id.index) < buffers_.size(),
-               "invalid buffer handle " << id.index);
-    return buffers_[static_cast<size_t>(id.index)].name;
+    return sim_.bufferNames().name(id);
 }
 
 bool
@@ -167,28 +181,64 @@ Pe::freeBuffer(const std::string &name)
 ScalarId
 Pe::scalarId(const std::string &name)
 {
-    auto [it, inserted] = scalarIds_.try_emplace(
-        name, static_cast<int32_t>(scalars_.size()));
-    if (inserted)
-        scalars_.push_back(0.0);
-    return ScalarId{it->second};
+    ScalarId id = sim_.scalarNames().intern(name);
+    if (!scalarPresent(id.index))
+        defineScalar(id, 0.0);
+    return id;
+}
+
+void
+Pe::defineScalar(ScalarId id, double value)
+{
+    WSC_ASSERT(id.index >= 0 && static_cast<size_t>(id.index) <
+                                    sim_.scalarNames().size(),
+               "invalid scalar handle " << id.index);
+    if (static_cast<size_t>(id.index) >= scalars_.size())
+        scalars_.resize(sim_.scalarNames().size());
+    scalars_[static_cast<size_t>(id.index)] = ScalarSlot{value, true};
 }
 
 ScalarId
 Pe::findScalar(const std::string &name) const
 {
-    auto it = scalarIds_.find(name);
-    return it == scalarIds_.end() ? ScalarId{} : ScalarId{it->second};
+    ScalarId id = sim_.scalarNames().find(name);
+    return scalarPresent(id.index) ? id : ScalarId{};
+}
+
+bool
+Pe::scalarPresent(int32_t index) const
+{
+    return index >= 0 && static_cast<size_t>(index) < scalars_.size() &&
+           scalars_[static_cast<size_t>(index)].present;
+}
+
+bool
+Pe::taskPresent(int32_t index) const
+{
+    return index >= 0 && static_cast<size_t>(index) < tasks_.size() &&
+           tasks_[static_cast<size_t>(index)].fn;
+}
+
+void
+Pe::registerTask(TaskId id, TaskKind kind, TaskFn fn)
+{
+    const std::string &name = sim_.taskNames().name(id);
+    WSC_ASSERT(!sim_.running(), "task `" << name
+                                         << "` registered during a run");
+    WSC_ASSERT(fn, "task `" << name << "` registered without a body");
+    WSC_ASSERT(!taskPresent(id.index),
+               "task `" << name << "` already registered");
+    if (static_cast<size_t>(id.index) >= tasks_.size())
+        tasks_.resize(sim_.taskNames().size());
+    tasks_[static_cast<size_t>(id.index)] = TaskSlot{std::move(fn), kind};
 }
 
 TaskId
 Pe::registerTask(const std::string &name, TaskKind kind, TaskFn fn)
 {
-    auto [it, inserted] = taskIds_.try_emplace(
-        name, static_cast<int32_t>(tasks_.size()));
-    WSC_ASSERT(inserted, "task `" << name << "` already registered");
-    tasks_.push_back(TaskInfo{name, kind, std::move(fn)});
-    return TaskId{it->second};
+    TaskId id = sim_.taskNames().intern(name);
+    registerTask(id, kind, std::move(fn));
+    return id;
 }
 
 TaskId
@@ -204,8 +254,8 @@ Pe::taskId(const std::string &name) const
 TaskId
 Pe::findTask(const std::string &name) const
 {
-    auto it = taskIds_.find(name);
-    return it == taskIds_.end() ? TaskId{} : TaskId{it->second};
+    TaskId id = sim_.taskNames().find(name);
+    return taskPresent(id.index) ? id : TaskId{};
 }
 
 bool
@@ -217,8 +267,7 @@ Pe::hasTask(const std::string &name) const
 void
 Pe::activate(TaskId task, Cycles readyAt)
 {
-    WSC_ASSERT(task.index >= 0 &&
-                   static_cast<size_t>(task.index) < tasks_.size(),
+    WSC_ASSERT(taskPresent(task.index),
                "activating an invalid task handle on PE (" << x_ << ", "
                                                            << y_ << ")");
     pending_.emplace_back(task.index, readyAt);
@@ -247,7 +296,7 @@ Pe::dispatchPending()
         return;
     auto [taskIdx, readyAt] = pending_.front();
     pending_.pop_front();
-    const TaskInfo &task = tasks_[static_cast<size_t>(taskIdx)];
+    const TaskSlot &task = tasks_[static_cast<size_t>(taskIdx)];
 
     const ArchParams &p = sim_.params();
     Cycles ready = std::max(readyAt, now());
@@ -286,10 +335,7 @@ Pe::reserveWork(Cycles from, Cycles n)
 const std::string &
 Pe::taskName(int32_t taskIdx) const
 {
-    WSC_ASSERT(taskIdx >= 0 &&
-                   static_cast<size_t>(taskIdx) < tasks_.size(),
-               "invalid task index " << taskIdx);
-    return tasks_[static_cast<size_t>(taskIdx)].name;
+    return sim_.taskNames().name(TaskId{taskIdx});
 }
 
 void

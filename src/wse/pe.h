@@ -5,11 +5,15 @@
  * and a single work timeline on which compute and ramp transfers
  * serialize (see simulator.h for the timing-model rationale).
  *
- * Tasks, buffers and scalars are identified by dense interned handles
- * (TaskId / BufferId / ScalarId) backed by flat per-PE tables; every
- * per-activation and per-access hot path is an O(1) index. The
- * string-named API remains as a thin resolve-once wrapper used at
- * registration time and by tests.
+ * Tasks, buffers and scalars are identified by dense handles (TaskId /
+ * BufferId / ScalarId) interned in grid-wide name tables owned by the
+ * Simulator, so a name has the same handle on every PE and a program
+ * resolves its names once, not once per PE. Each Pe keeps only per-id
+ * vectors with present/live flags; every per-activation and per-access
+ * hot path is an O(1) index. The string-named API remains as a thin
+ * wrapper used at registration time and by tests. The name tables are
+ * frozen while the simulator runs: interning a new name from inside a
+ * task panics, so shard workers only ever read them.
  */
 
 #ifndef WSC_WSE_PE_H
@@ -22,6 +26,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "support/error.h"
+#include "support/fifo.h"
 #include "wse/arch_params.h"
 
 namespace wsc::wse {
@@ -34,7 +40,7 @@ struct SimStats;
 /** The three CSL task flavours (software actors). */
 enum class TaskKind { Data, Control, Local };
 
-/** Dense handle of a task registered on one PE. */
+/** Dense grid-wide handle of a task name (Simulator::taskNames()). */
 struct TaskId
 {
     int32_t index = -1;
@@ -42,7 +48,7 @@ struct TaskId
     bool operator==(const TaskId &) const = default;
 };
 
-/** Dense handle of a named buffer on one PE. Survives freeBuffer():
+/** Dense grid-wide handle of a buffer name. Survives freeBuffer():
  *  re-allocating the same name reuses the handle (and the slot). */
 struct BufferId
 {
@@ -51,7 +57,7 @@ struct BufferId
     bool operator==(const BufferId &) const = default;
 };
 
-/** Dense handle of a module-level scalar variable on one PE. */
+/** Dense grid-wide handle of a module-level scalar variable name. */
 struct ScalarId
 {
     int32_t index = -1;
@@ -101,6 +107,57 @@ class TaskContext
 
 using TaskFn = std::function<void(TaskContext &)>;
 
+/**
+ * Name -> dense handle table. The Simulator owns one each for tasks,
+ * buffers and scalars; handles are assigned in interning order and
+ * never change. `frozen` (the simulator's running flag) makes interning
+ * a new name panic, so concurrent readers never see the table change.
+ */
+template <typename Id>
+class NameTable
+{
+  public:
+    NameTable(const bool &frozen, const char *kind)
+        : frozen_(frozen), kind_(kind)
+    {
+    }
+
+    /** Handle of `name`, assigning the next one on first use. */
+    Id
+    intern(const std::string &name)
+    {
+        if (Id id = find(name); id.valid())
+            return id;
+        WSC_ASSERT(!frozen_, "new " << kind_ << " name `" << name
+                                    << "` interned during a run");
+        index_.emplace(name, static_cast<int32_t>(names_.size()));
+        names_.push_back(name);
+        return Id{static_cast<int32_t>(names_.size() - 1)};
+    }
+    /** Handle of `name`; invalid when it was never interned. */
+    Id
+    find(const std::string &name) const
+    {
+        auto it = index_.find(name);
+        return it == index_.end() ? Id{} : Id{it->second};
+    }
+    const std::string &
+    name(Id id) const
+    {
+        WSC_ASSERT(id.index >= 0 &&
+                       static_cast<size_t>(id.index) < names_.size(),
+                   "invalid " << kind_ << " handle " << id.index);
+        return names_[static_cast<size_t>(id.index)];
+    }
+    size_t size() const { return names_.size(); }
+
+  private:
+    const bool &frozen_;
+    const char *kind_;
+    std::unordered_map<std::string, int32_t> index_;
+    std::deque<std::string> names_; ///< deque: name() references stay valid
+};
+
 /** One simulated processing element. */
 class Pe
 {
@@ -130,10 +187,13 @@ class Pe
     /// @name Memory
     /// @{
     /**
-     * Allocate a named f32 buffer and return its dense handle; throws
-     * FatalError when the 48 kB PE memory would be exceeded. A name
-     * freed earlier may be re-allocated and keeps its handle.
+     * Allocate the f32 buffer of a grid-wide handle (zero-filled);
+     * throws FatalError when the 48 kB PE memory would be exceeded. A
+     * handle freed earlier may be re-allocated; allocating a live one
+     * panics.
      */
+    std::vector<float> &allocBuffer(BufferId id, size_t elems);
+    /** Intern `name` and allocate its buffer; returns the handle. */
     BufferId allocBufferId(const std::string &name, size_t elems);
     /** Name-based convenience wrapper around allocBufferId(). */
     std::vector<float> &allocBuffer(const std::string &name, size_t elems);
@@ -145,11 +205,13 @@ class Pe
         return buffers_[static_cast<size_t>(id.index)].data;
     }
     std::vector<float> &buffer(const std::string &name);
+    /** The buffer's data when live on this PE, nullptr otherwise. */
+    std::vector<float> *liveBuffer(BufferId id);
     /** Resolve a live buffer name; panics when unknown or freed. */
     BufferId bufferId(const std::string &name) const;
     /** Resolve a live buffer name; invalid handle when unknown/freed. */
     BufferId findBuffer(const std::string &name) const;
-    /** Name of a buffer slot (diagnostics). */
+    /** Name of a buffer handle (diagnostics). */
     const std::string &bufferName(BufferId id) const;
     bool hasBuffer(const std::string &name) const;
     void freeBuffer(BufferId id);
@@ -160,20 +222,23 @@ class Pe
     /// @name Scalar state (module-level variables)
     /// @{
     /**
-     * Intern a scalar name to its dense handle (creates the scalar,
-     * value 0, on first use — the resolve-once registration step).
+     * Intern a scalar name to its grid-wide handle and create it on
+     * this PE (value 0) when it is not there yet.
      */
     ScalarId scalarId(const std::string &name);
-    /** Resolve without interning; invalid handle when unknown. */
+    /** Create (or overwrite) this PE's scalar of a grid-wide handle. */
+    void defineScalar(ScalarId id, double value);
+    /** Resolve without creating; invalid handle when this PE has no
+     *  such scalar. */
     ScalarId findScalar(const std::string &name) const;
     /** O(1) access through the dense handle (hot path). References are
-     *  invalidated by interning further scalars, so resolve all names
+     *  invalidated by defining further scalars, so define all of them
      *  before holding references across calls. */
     double &
     scalar(ScalarId id)
     {
         checkScalar(id);
-        return scalars_[static_cast<size_t>(id.index)];
+        return scalars_[static_cast<size_t>(id.index)].value;
     }
     /** Unchecked O(1) access for handles pre-validated at configure
      *  time (the interpreter's resolveColdChecks()): no validity branch
@@ -181,21 +246,28 @@ class Pe
     double &
     scalarUnchecked(ScalarId id)
     {
-        return scalars_[static_cast<size_t>(id.index)];
+        return scalars_[static_cast<size_t>(id.index)].value;
     }
     double &scalar(const std::string &name) { return scalar(scalarId(name)); }
     bool hasScalar(const std::string &name) const
     {
-        return scalarIds_.count(name) > 0;
+        return findScalar(name).valid();
     }
     /// @}
 
     /// @name Tasks
     /// @{
+    /**
+     * Register a task under a grid-wide handle. Tasks are configuration:
+     * registering during a run, or twice on one PE, panics.
+     */
+    void registerTask(TaskId id, TaskKind kind, TaskFn fn);
+    /** Intern `name` and register its task; returns the handle. */
     TaskId registerTask(const std::string &name, TaskKind kind, TaskFn fn);
-    /** Resolve a registered task name; panics when unknown. */
+    /** Resolve a task registered on this PE; panics when unknown. */
     TaskId taskId(const std::string &name) const;
-    /** Resolve without panicking; invalid handle when unknown. */
+    /** Resolve without panicking; invalid handle when this PE has no
+     *  such task. */
     TaskId findTask(const std::string &name) const;
     bool hasTask(const std::string &name) const;
     /**
@@ -248,7 +320,7 @@ class Pe
     /// @name Diagnosis introspection
     /// @{
     /** Activations not yet dispatched: (task index, readyAt). */
-    const std::deque<std::pair<int32_t, Cycles>> &
+    const Fifo<std::pair<int32_t, Cycles>> &
     pendingActivations() const
     {
         return pending_;
@@ -265,23 +337,33 @@ class Pe
     /// @}
 
   private:
-    struct TaskInfo
+    /** One task slot per grid-wide task handle; an empty fn means the
+     *  task is not registered on this PE. */
+    struct TaskSlot
     {
-        std::string name; ///< for diagnosis tables only
-        TaskKind kind;
         TaskFn fn;
+        TaskKind kind = TaskKind::Local;
     };
 
-    /** One buffer slot; `live` is false between free and re-alloc. */
+    /** One buffer slot; `live` is false until allocated and between
+     *  free and re-alloc. */
     struct BufferSlot
     {
-        std::string name;
         std::vector<float> data;
         bool live = false;
     };
 
+    struct ScalarSlot
+    {
+        double value = 0.0;
+        bool present = false;
+    };
+
     void checkBufferLive(BufferId id) const;
     void checkScalar(ScalarId id) const;
+    bool bufferLive(int32_t index) const;
+    bool scalarPresent(int32_t index) const;
+    bool taskPresent(int32_t index) const;
     void dispatchPending();
     /** Schedule a dispatch event on the owning shard. */
     void scheduleDispatch(Cycles at);
@@ -291,19 +373,18 @@ class Pe
     int x_;
     int y_;
     uint32_t id_;
-    /** Deque so slot (and vector) addresses survive later allocations —
-     *  DSDs hold pointers to the slot's data vector. */
+    /** Indexed by BufferId. A deque so slot (and vector) addresses
+     *  survive later allocations — DSDs hold pointers to the slot's
+     *  data vector. */
     std::deque<BufferSlot> buffers_;
-    std::unordered_map<std::string, int32_t> bufferIds_;
-    std::vector<double> scalars_;
-    std::unordered_map<std::string, int32_t> scalarIds_;
+    /** Indexed by ScalarId. */
+    std::vector<ScalarSlot> scalars_;
     size_t bytesUsed_ = 0;
-    /** Deque so TaskInfo references stay stable if a running task
-     *  registers further tasks. */
-    std::deque<TaskInfo> tasks_;
-    std::unordered_map<std::string, int32_t> taskIds_;
+    /** Indexed by TaskId. Registration never happens during a run, so
+     *  the vector cannot move under an executing task. */
+    std::vector<TaskSlot> tasks_;
     /** (task index, readyAt) activation queue. */
-    std::deque<std::pair<int32_t, Cycles>> pending_;
+    Fifo<std::pair<int32_t, Cycles>> pending_;
     bool dispatchScheduled_ = false;
     Cycles workFree_ = 0;
     uint64_t taskActivations_ = 0;

@@ -752,8 +752,19 @@ Simulator::runWithReport(uint64_t maxEvents)
         shard->windowsRun_ = 0;
         shard->outboxReallocs_ = 0;
     }
-    bool overBudget = shardCount() == 1 ? runSequential(maxEvents)
-                                        : runParallel(maxEvents);
+    // Cleared on every exit, including a panic thrown out of an event.
+    struct RunningFlag
+    {
+        bool &flag;
+        explicit RunningFlag(bool &f) : flag(f) { flag = true; }
+        ~RunningFlag() { flag = false; }
+    };
+    bool overBudget;
+    {
+        RunningFlag running(running_);
+        overBudget = shardCount() == 1 ? runSequential(maxEvents)
+                                       : runParallel(maxEvents);
+    }
     report_.finalCycle = finishRun();
     report_.stats = stats();
 

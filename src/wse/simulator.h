@@ -36,6 +36,12 @@
  * run — pinned by the `sharded` test suite and the golden
  * cycle counts.
  *
+ * Task, buffer and scalar names are interned in grid-wide tables owned
+ * here (taskNames / bufferNames / scalarNames), so a name has the
+ * same handle on every PE. The tables are written only between runs;
+ * interning a new name during a run panics, so shard workers only read
+ * them.
+ *
  * The schedule/run path allocates nothing in steady state for
  * inline-sized callbacks: an event is a POD key appended to a recycled
  * queue bucket, and its callback lives in a small-buffer EventCallback
@@ -573,6 +579,15 @@ class Simulator
     Pe &pe(int x, int y);
     Fabric &fabric() { return *fabric_; }
 
+    /// @name Grid-wide name tables (frozen during runs; see above)
+    /// @{
+    NameTable<TaskId> &taskNames() { return taskNames_; }
+    NameTable<BufferId> &bufferNames() { return bufferNames_; }
+    NameTable<ScalarId> &scalarNames() { return scalarNames_; }
+    /** True while run()/runWithReport() executes events. */
+    bool running() const { return running_; }
+    /// @}
+
     /** Aggregate statistics, merged across shards on each call
      *  (read-only: subsystems accumulate into their shard's stats). */
     const SimStats &stats();
@@ -717,6 +732,12 @@ class Simulator
     SimReport report_;
     /** Registered quiescence probes (run at queue drain). */
     std::vector<QuiescenceProbe> probes_;
+    /** Set for the duration of a run (written by the host thread only,
+     *  before workers start and after they join); freezes the tables. */
+    bool running_ = false;
+    NameTable<TaskId> taskNames_{running_, "task"};
+    NameTable<BufferId> bufferNames_{running_, "buffer"};
+    NameTable<ScalarId> scalarNames_{running_, "scalar"};
 };
 
 } // namespace wsc::wse

@@ -1,9 +1,11 @@
 /**
  * @file
- * PR 2 coverage: the dense-handle simulator core. SimStats equivalence
- * of the compiled interpreter against the reference evaluator under the
- * handle-based Pe/StarComm/fabric paths, Pe handle semantics (id
- * resolution, unknown-name errors, buffer free/realloc reuse), the
+ * The dense-handle simulator core. SimStats equivalence of the compiled
+ * interpreter against the reference evaluator under the handle-based
+ * Pe/StarComm/fabric paths, Pe handle semantics (id resolution,
+ * unknown-name errors, buffer free/realloc reuse), grid-wide handles
+ * (one name table per simulator, frozen during runs), host data
+ * transfer at configure (one field evaluation per PE), the
  * calendar event queue's ordering (against a reference key set on
  * seeded random schedules) and callback fallback behaviour, and the
  * worklist driver's per-pattern counters.
@@ -12,6 +14,7 @@
 #include "test_helpers.h"
 
 #include <array>
+#include <map>
 #include <random>
 #include <set>
 #include <sstream>
@@ -192,6 +195,190 @@ TEST_F(PeHandleTest, ScalarIdInterning)
     wse::ScalarId y = pe.scalarId("y");
     EXPECT_NE(y, x);
     EXPECT_EQ(pe.scalar(y), 0.0);
+}
+
+//===----------------------------------------------------------------------===
+// Grid-wide handles: one name table per simulator
+//===----------------------------------------------------------------------===
+
+class GridHandleTest : public ::testing::Test
+{
+  protected:
+    GridHandleTest() : sim(wse::ArchParams::wse3(), 3, 3) {}
+
+    wse::Simulator sim;
+};
+
+TEST_F(GridHandleTest, SameNameSameHandleOnEveryPe)
+{
+    wse::TaskId task = sim.pe(0, 0).registerTask(
+        "t", wse::TaskKind::Local, [](wse::TaskContext &) {});
+    wse::BufferId buf = sim.pe(0, 0).allocBufferId("buf", 4);
+    wse::ScalarId scalar = sim.pe(0, 0).scalarId("s");
+    for (int x = 0; x < 3; ++x)
+        for (int y = 0; y < 3; ++y) {
+            if (x == 0 && y == 0)
+                continue;
+            wse::Pe &pe = sim.pe(x, y);
+            EXPECT_EQ(pe.registerTask("t", wse::TaskKind::Local,
+                                      [](wse::TaskContext &) {}),
+                      task);
+            EXPECT_EQ(pe.allocBufferId("buf", 4), buf);
+            EXPECT_EQ(pe.scalarId("s"), scalar);
+        }
+    EXPECT_EQ(sim.taskNames().intern("t"), task);
+    EXPECT_EQ(sim.bufferNames().intern("buf"), buf);
+    EXPECT_EQ(sim.scalarNames().intern("s"), scalar);
+    EXPECT_EQ(sim.taskNames().size(), 1u);
+    EXPECT_EQ(sim.bufferNames().size(), 1u);
+    EXPECT_EQ(sim.scalarNames().size(), 1u);
+}
+
+TEST_F(GridHandleTest, TaskOnOnePeIsAbsentOnTheOthers)
+{
+    int fired = 0;
+    wse::TaskId id = sim.pe(1, 1).registerTask(
+        "only", wse::TaskKind::Local, [&](wse::TaskContext &) { fired++; });
+    for (int x = 0; x < 3; ++x)
+        for (int y = 0; y < 3; ++y) {
+            wse::Pe &pe = sim.pe(x, y);
+            bool owner = x == 1 && y == 1;
+            EXPECT_EQ(pe.hasTask("only"), owner);
+            if (owner) {
+                EXPECT_EQ(pe.taskId("only"), id);
+            } else {
+                EXPECT_FALSE(pe.findTask("only").valid());
+                EXPECT_THROW(pe.taskId("only"), PanicError);
+                // The grid-wide handle does not activate a task this PE
+                // never registered.
+                EXPECT_THROW(pe.activate(id, 0), PanicError);
+            }
+        }
+    sim.pe(1, 1).activate(id, 0);
+    sim.run();
+    EXPECT_EQ(fired, 1);
+}
+
+TEST_F(GridHandleTest, FreeReallocKeepsTheHandle)
+{
+    wse::BufferId a = sim.pe(0, 0).allocBufferId("a", 8);
+    wse::BufferId b = sim.pe(2, 2).allocBufferId("b", 8);
+    wse::BufferId a22 = sim.pe(2, 2).allocBufferId("a", 8);
+    EXPECT_EQ(a22, a);
+    EXPECT_NE(b, a);
+    // Other PEs never allocated `b`: the name is known, the buffer not.
+    EXPECT_FALSE(sim.pe(0, 0).hasBuffer("b"));
+    EXPECT_EQ(sim.pe(0, 0).liveBuffer(b), nullptr);
+    EXPECT_THROW(sim.pe(0, 0).buffer(b), PanicError);
+
+    sim.pe(2, 2).freeBuffer(a);
+    EXPECT_FALSE(sim.pe(2, 2).hasBuffer("a"));
+    EXPECT_TRUE(sim.pe(0, 0).hasBuffer("a")); // Freed on one PE only.
+    EXPECT_EQ(sim.pe(2, 2).allocBufferId("a", 4), a);
+    EXPECT_EQ(sim.pe(2, 2).buffer(a).size(), 4u);
+    EXPECT_EQ(sim.pe(2, 2).bufferId("b"), b);
+}
+
+TEST(GridHandles, InterningDuringAShardedRunPanics)
+{
+    wse::SimOptions options;
+    options.threads = 4;
+    wse::Simulator sim(wse::ArchParams::wse3(), 3, 3, options);
+    ASSERT_GT(sim.shardCount(), 1);
+    sim.pe(0, 0).scalarId("known");
+    for (int x = 0; x < 3; ++x)
+        for (int y = 0; y < 3; ++y)
+            sim.pe(x, y).registerTask(
+                "t", wse::TaskKind::Local, [x, y](wse::TaskContext &ctx) {
+                    // Known names still resolve during the run.
+                    ctx.pe().scalarId("known");
+                    if (x == 2 && y == 1)
+                        ctx.pe().scalarId("fresh");
+                });
+    for (int x = 0; x < 3; ++x)
+        for (int y = 0; y < 3; ++y)
+            sim.pe(x, y).activate("t", 0);
+    EXPECT_THROW(sim.run(), PanicError);
+    EXPECT_FALSE(sim.running());
+    EXPECT_FALSE(sim.scalarNames().find("fresh").valid());
+    // Between runs the tables accept new names again.
+    EXPECT_TRUE(sim.scalarNames().intern("fresh").valid());
+}
+
+TEST(GridHandles, RegisteringATaskDuringARunPanics)
+{
+    // Even a name already interned elsewhere: a PE's task table must
+    // not grow under the task that is executing.
+    wse::Simulator sim(wse::ArchParams::wse3(), 2, 1);
+    sim.pe(1, 0).registerTask("late", wse::TaskKind::Local,
+                              [](wse::TaskContext &) {});
+    wse::Pe &pe = sim.pe(0, 0);
+    pe.registerTask("t", wse::TaskKind::Local, [](wse::TaskContext &ctx) {
+        ctx.pe().registerTask("late", wse::TaskKind::Local,
+                              [](wse::TaskContext &) {});
+    });
+    pe.activate("t", 0);
+    EXPECT_THROW(sim.run(), PanicError);
+    EXPECT_FALSE(pe.hasTask("late"));
+}
+
+//===----------------------------------------------------------------------===
+// Host data transfer at configure()
+//===----------------------------------------------------------------------===
+
+TEST(HostDataTransfer, FieldColumnsEvaluatedOncePerPeAndCopied)
+{
+    const int n = 7;
+    const int64_t nz = 12;
+    fe::Benchmark bench = fe::makeAcoustic(n, n, 2, nz);
+    ir::Context ctx;
+    dialects::registerAllDialects(ctx);
+    ir::OwningOp module = bench.program.emit(ctx);
+    transforms::runPipeline(module.get());
+
+    wse::Simulator sim(wse::ArchParams::wse3(), n, n);
+    interp::CslProgramInstance instance(sim, module.get());
+    // calls[(x, y, field, z)] counts FieldInitFn invocations.
+    std::map<std::tuple<int, int, int, int>, int> calls;
+    ASSERT_EQ(bench.program.fieldName(0), "u");
+    ASSERT_EQ(bench.program.fieldName(1), "u_prev");
+    for (int f = 0; f < 2; ++f)
+        instance.setFieldInit(bench.program.fieldName(f),
+                              [&calls, f, init = bench.init](
+                                  int x, int y, int z) {
+                                  calls[{x, y, f, z}]++;
+                                  return init(f, x, y, z);
+                              });
+    instance.configure();
+
+    for (const auto &[key, count] : calls)
+        EXPECT_EQ(count, 1) << "PE (" << std::get<0>(key) << ", "
+                            << std::get<1>(key) << ") field "
+                            << std::get<2>(key) << " z "
+                            << std::get<3>(key);
+
+    auto expectColumn = [&](int x, int y, const std::string &buffer,
+                            int field) {
+        const std::vector<float> &data = sim.pe(x, y).buffer(buffer);
+        ASSERT_GE(data.size(), static_cast<size_t>(nz));
+        for (size_t z = 0; z < data.size(); ++z) {
+            EXPECT_EQ(data[z], bench.init(field, x, y, static_cast<int>(z)))
+                << buffer << " on PE (" << x << ", " << y << ") z " << z;
+            EXPECT_EQ((calls[{x, y, field, static_cast<int>(z)}]), 1);
+        }
+    };
+    const comms::StarComm &site = *instance.commSites().at(0);
+    ASSERT_GT(site.expectedSections(n / 2, n / 2), 0);
+    ASSERT_EQ(site.expectedSections(0, 0), 0);
+    // Interior PE: each buffer from its own field; out0 from u.
+    expectColumn(n / 2, n / 2, "u", 0);
+    expectColumn(n / 2, n / 2, "u_prev", 1);
+    expectColumn(n / 2, n / 2, "out0", 0);
+    // Boundary PE: every rotation buffer carries u, and u_prev's field
+    // is never evaluated there.
+    for (const char *buffer : {"u", "u_prev", "out0"})
+        expectColumn(0, 0, buffer, 0);
+    EXPECT_EQ((calls.count({0, 0, 1, 0})), 0u);
 }
 
 //===----------------------------------------------------------------------===

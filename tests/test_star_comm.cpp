@@ -278,9 +278,16 @@ TEST_F(StarCommTest, AccessesMustBeCanonical)
 TEST_F(StarCommTest, RoutersAreConfiguredForAllTravelDirections)
 {
     build(3, 3, fourNeighbourConfig(6));
-    const wse::Router &router = comm->router(1, 1);
-    for (int c = 0; c < 4; ++c)
-        EXPECT_TRUE(router.hasRoute(static_cast<wse::Color>(c)));
+    // Routes do not depend on the PE: corners carry the same colors.
+    for (auto [x, y] : {std::pair{1, 1}, std::pair{0, 0}, std::pair{2, 0},
+                        std::pair{0, 2}, std::pair{2, 2}}) {
+        const wse::Router &router = comm->router(x, y);
+        for (int c = 0; c < 4; ++c)
+            EXPECT_TRUE(router.hasRoute(static_cast<wse::Color>(c)))
+                << "PE (" << x << ", " << y << ") color " << c;
+    }
+    EXPECT_THROW(comm->router(3, 0), PanicError);
+    EXPECT_THROW(comm->router(0, -1), PanicError);
 }
 
 TEST_F(StarCommTest, Wse2ExchangeTakesLongerThanWse3)
