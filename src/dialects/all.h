@@ -1,6 +1,6 @@
 /**
  * @file
- * Convenience registration of every dialect in the pipeline.
+ * Every dialect in the pipeline, and their registration.
  */
 
 #ifndef WSC_DIALECTS_ALL_H
@@ -22,23 +22,17 @@
 
 namespace wsc::dialects {
 
-/** Register every dialect used by the lowering pipeline. */
-inline void
-registerAllDialects(ir::Context &ctx)
+/**
+ * Register every dialect used by the lowering pipeline: one constexpr
+ * table of ir::OpSpec rows per dialect (all.cpp). Idempotent.
+ */
+void registerAllDialects(ir::Context &ctx);
+
+/** True when `op` has the given interned identity. */
+inline bool
+isa(ir::Operation *op, ir::OpId id)
 {
-    builtin::registerDialect(ctx);
-    func::registerDialect(ctx);
-    arith::registerDialect(ctx);
-    scf::registerDialect(ctx);
-    stencil::registerDialect(ctx);
-    tensor::registerDialect(ctx);
-    memref::registerDialect(ctx);
-    linalg::registerDialect(ctx);
-    dmp::registerDialect(ctx);
-    varith::registerDialect(ctx);
-    csl_stencil::registerDialect(ctx);
-    csl_wrapper::registerDialect(ctx);
-    csl::registerDialect(ctx);
+    return op && op->is(id);
 }
 
 } // namespace wsc::dialects

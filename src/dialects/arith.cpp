@@ -4,52 +4,6 @@
 
 namespace wsc::dialects::arith {
 
-namespace {
-
-std::string
-verifySameOperandAndResultType(ir::Operation *op)
-{
-    ir::Type t = op->operand(0).type();
-    for (unsigned i = 1; i < op->numOperands(); ++i)
-        if (op->operand(i).type() != t)
-            return "operand types differ";
-    if (op->result(0).type() != t)
-        return "result type differs from operand type";
-    return "";
-}
-
-} // namespace
-
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("arith"))
-        return;
-    registerSimpleOp(ctx, kConstant, {
-        .numOperands = 0,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kValue))
-                return "arith.constant requires a value attribute";
-            return "";
-        },
-    });
-    for (ir::OpId name : {kAddF, kSubF, kMulF, kDivF, kAddI, kSubI, kMulI})
-        registerSimpleOp(ctx, name,
-                         {.numOperands = 2, .numResults = 1,
-                          .extraVerify = verifySameOperandAndResultType});
-    registerSimpleOp(ctx, kCmpI, {
-        .numOperands = 2,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kPredicate))
-                return "arith.cmpi requires a predicate attribute";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kSelect, {.numOperands = 3, .numResults = 1});
-}
-
 ir::Value
 createConstantF32(ir::OpBuilder &b, double value)
 {
@@ -100,13 +54,12 @@ createDenseConstant(ir::OpBuilder &b, ir::Type shapedType, double splat)
 }
 
 ir::Value
-createBinary(ir::OpBuilder &b, const std::string &opName, ir::Value lhs,
-             ir::Value rhs)
+createBinary(ir::OpBuilder &b, ir::OpId op, ir::Value lhs, ir::Value rhs)
 {
     WSC_ASSERT(lhs.type() == rhs.type(),
                "createBinary operand type mismatch: " << lhs.type().str()
                    << " vs " << rhs.type().str());
-    return b.create(opName, {lhs, rhs}, {lhs.type()})->result();
+    return b.create(op, {lhs, rhs}, {lhs.type()})->result();
 }
 
 ir::Value
@@ -159,7 +112,7 @@ isBinaryFloatOp(ir::Operation *op)
 bool
 isFloatConstant(ir::Operation *op)
 {
-    if (!isa(op, kConstant))
+    if (!op || !op->is(kConstant))
         return false;
     ir::Attribute v = op->attr(ir::attrs::kValue);
     return ir::isFloatAttr(v) ||

@@ -7,7 +7,7 @@
 #ifndef WSC_DIALECTS_ARITH_H
 #define WSC_DIALECTS_ARITH_H
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::arith {
 
@@ -22,8 +22,6 @@ inline const ir::OpId kMulI = ir::OpId::get("arith.muli");
 inline const ir::OpId kCmpI = ir::OpId::get("arith.cmpi");
 inline const ir::OpId kSelect = ir::OpId::get("arith.select");
 
-void registerDialect(ir::Context &ctx);
-
 /** Scalar f32 constant. */
 ir::Value createConstantF32(ir::OpBuilder &b, double value);
 /** Index-typed constant. */
@@ -37,8 +35,8 @@ ir::Value createDenseConstant(ir::OpBuilder &b, ir::Type shapedType,
                               double splat);
 
 /** Generic binary float op (both operands must have identical type). */
-ir::Value createBinary(ir::OpBuilder &b, const std::string &opName,
-                       ir::Value lhs, ir::Value rhs);
+ir::Value createBinary(ir::OpBuilder &b, ir::OpId op, ir::Value lhs,
+                       ir::Value rhs);
 
 ir::Value createAddF(ir::OpBuilder &b, ir::Value lhs, ir::Value rhs);
 ir::Value createSubF(ir::OpBuilder &b, ir::Value lhs, ir::Value rhs);

@@ -4,17 +4,6 @@
 
 namespace wsc::dialects::builtin {
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("builtin"))
-        return;
-    registerSimpleOp(ctx, kModule,
-                     {.numOperands = 0, .numResults = 0, .numRegions = 1});
-    registerSimpleOp(ctx, kUnrealizedCast,
-                     {.numOperands = 1, .numResults = 1, .numRegions = 0});
-}
-
 ir::OwningOp
 createModule(ir::Context &ctx)
 {

@@ -7,14 +7,12 @@
 #ifndef WSC_DIALECTS_BUILTIN_H
 #define WSC_DIALECTS_BUILTIN_H
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::builtin {
 
 inline const ir::OpId kModule = ir::OpId::get("builtin.module");
 inline const ir::OpId kUnrealizedCast = ir::OpId::get("builtin.unrealized_cast");
-
-void registerDialect(ir::Context &ctx);
 
 /** Create an empty module (one region, one block). */
 ir::OwningOp createModule(ir::Context &ctx);

@@ -4,178 +4,6 @@
 
 namespace wsc::dialects::csl {
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("csl"))
-        return;
-    registerSimpleOp(ctx, kModule, {
-        .numOperands = 0,
-        .numResults = 0,
-        .numRegions = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            ir::Attribute kind = op->attr(ir::attrs::kKind);
-            if (!kind || !ir::isStringAttr(kind))
-                return "csl.module requires a kind attribute";
-            const std::string &k = ir::stringAttrValue(kind);
-            if (k != "program" && k != "layout")
-                return "csl.module kind must be program or layout";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kParam, {
-        .numOperands = 0,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kName))
-                return "csl.param requires a name";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kImportModule, {
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kModule))
-                return "csl.import_module requires a module name";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kMemberCall, {
-        .minOperands = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kMember))
-                return "csl.member_call requires a member name";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kFunc, {
-        .numOperands = 0,
-        .numResults = 0,
-        .numRegions = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kSymName))
-                return "csl.func requires a sym_name";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kTask, {
-        .numOperands = 0,
-        .numResults = 0,
-        .numRegions = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kSymName))
-                return "csl.task requires a sym_name";
-            ir::Attribute kind = op->attr(ir::attrs::kKind);
-            if (!kind || !ir::isStringAttr(kind))
-                return "csl.task requires a kind";
-            const std::string &k = ir::stringAttrValue(kind);
-            if (k != "data" && k != "control" && k != "local")
-                return "csl.task kind must be data, control or local";
-            if (!op->attr(ir::attrs::kId))
-                return "csl.task requires an id";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kReturn,
-                     {.numResults = 0, .numRegions = 0,
-                      .isTerminator = true});
-    registerSimpleOp(ctx, kCall, {
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kCallee))
-                return "csl.call requires a callee";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kActivate, {
-        .numOperands = 0,
-        .numResults = 0,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kTask))
-                return "csl.activate requires a task name";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kVariable, {
-        .numOperands = 0,
-        .numResults = 0,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kSymName))
-                return "csl.variable requires a sym_name";
-            if (!op->attr(ir::attrs::kType))
-                return "csl.variable requires a type";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kLoadVar, {
-        .numOperands = 0,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kVar))
-                return "csl.load_var requires a var";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kStoreVar, {
-        .numOperands = 1,
-        .numResults = 0,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kVar))
-                return "csl.store_var requires a var";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kAddressOf, {
-        .numOperands = 0,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kVar))
-                return "csl.addressof requires a var";
-            if (!isPtrType(op->result(0).type()))
-                return "csl.addressof result must be a pointer";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kGetMemDsd, {
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kVar))
-                return "csl.get_mem_dsd requires a var";
-            if (!isDsdType(op->result(0).type()))
-                return "csl.get_mem_dsd result must be a DSD";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kSetDsdBaseAddr,
-                     {.numOperands = 2, .numResults = 1});
-    registerSimpleOp(ctx, kIncrementDsdOffset,
-                     {.numOperands = 2, .numResults = 1});
-    registerSimpleOp(ctx, kSetDsdLength,
-                     {.numOperands = 2, .numResults = 1});
-    registerSimpleOp(ctx, kFadds, {.numOperands = 3, .numResults = 0});
-    registerSimpleOp(ctx, kFsubs, {.numOperands = 3, .numResults = 0});
-    registerSimpleOp(ctx, kFmuls, {.numOperands = 3, .numResults = 0});
-    registerSimpleOp(ctx, kFmovs, {.numOperands = 2, .numResults = 0});
-    registerSimpleOp(ctx, kFmacs, {.numOperands = 4, .numResults = 0});
-    registerSimpleOp(ctx, kCommsExchange, {
-        .numOperands = 1,
-        .numResults = 0,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kRecvCb) || !op->attr(ir::attrs::kDoneCb))
-                return "csl.comms_exchange requires recv_cb and done_cb";
-            if (!op->attr(ir::attrs::kNumChunks))
-                return "csl.comms_exchange requires num_chunks";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kExport, {.numOperands = 0, .numResults = 0});
-    registerSimpleOp(ctx, kUnblockCmdStream,
-                     {.numOperands = 0, .numResults = 0});
-    registerSimpleOp(ctx, kSetRectangle,
-                     {.numOperands = 0, .numResults = 0});
-    registerSimpleOp(ctx, kSetTileCode,
-                     {.numOperands = 0, .numResults = 0});
-}
-
 ir::Type
 getDsdType(ir::Context &ctx, const std::string &kind)
 {
@@ -411,10 +239,10 @@ createIncrementDsdOffset(ir::OpBuilder &b, ir::Value dsd,
 }
 
 ir::Operation *
-createBuiltin(ir::OpBuilder &b, const std::string &name,
+createBuiltin(ir::OpBuilder &b, ir::OpId op,
               const std::vector<ir::Value> &operands)
 {
-    return b.create(name, operands, {});
+    return b.create(op, operands, {});
 }
 
 ir::Operation *

@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::csl {
 
@@ -78,8 +78,6 @@ inline const ir::OpId kUnblockCmdStream = ir::OpId::get("csl.unblock_cmd_stream"
 inline const ir::OpId kSetRectangle = ir::OpId::get("csl.set_rectangle");
 inline const ir::OpId kSetTileCode = ir::OpId::get("csl.set_tile_code");
 /// @}
-
-void registerDialect(ir::Context &ctx);
 
 /// @name Types
 /// @{
@@ -181,7 +179,7 @@ ir::Value createIncrementDsdOffset(ir::OpBuilder &b, ir::Value dsd,
                                    ir::Value offsetElems);
 
 /** DSD compute builtins. Operands may be DSDs or f32 scalars. */
-ir::Operation *createBuiltin(ir::OpBuilder &b, const std::string &name,
+ir::Operation *createBuiltin(ir::OpBuilder &b, ir::OpId op,
                              const std::vector<ir::Value> &operands);
 /// @}
 

@@ -23,57 +23,6 @@ encodeSwaps(ir::Context &ctx, const std::vector<dmp::Exchange> &swaps)
 
 } // namespace
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("csl_stencil"))
-        return;
-    registerSimpleOp(ctx, kPrefetch, {
-        .numOperands = 1,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kSwaps))
-                return "csl_stencil.prefetch requires swaps";
-            if (!op->attr(ir::attrs::kNumChunks))
-                return "csl_stencil.prefetch requires num_chunks";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kApply, {
-        .minOperands = 2,
-        .numResults = 1,
-        .numRegions = 2,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kSwaps))
-                return "csl_stencil.apply requires swaps";
-            if (!op->attr(ir::attrs::kNumChunks))
-                return "csl_stencil.apply requires num_chunks";
-            if (op->intAttr(ir::attrs::kNumChunks) < 1)
-                return "num_chunks must be >= 1";
-            if (op->region(0).empty() || op->region(1).empty())
-                return "csl_stencil.apply requires two populated regions";
-            if (op->region(0).front().numArguments() != 3)
-                return "receive-chunk region must take (buf, offset, acc)";
-            if (op->region(1).front().numArguments() != op->numOperands())
-                return "done-exchange region must take (input, acc, "
-                       "others...)";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kAccess, {
-        .numOperands = 1,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kOffset))
-                return "csl_stencil.access requires an offset";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kYield,
-                     {.numResults = 0, .numRegions = 0,
-                      .isTerminator = true});
-}
-
 ir::Value
 createPrefetch(ir::OpBuilder &b, ir::Value input,
                const std::vector<dmp::Exchange> &swaps, int64_t numChunks,

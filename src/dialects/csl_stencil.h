@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 #include "dialects/dmp.h"
 
 namespace wsc::dialects::csl_stencil {
@@ -27,8 +27,6 @@ inline const ir::OpId kPrefetch = ir::OpId::get("csl_stencil.prefetch");
 inline const ir::OpId kApply = ir::OpId::get("csl_stencil.apply");
 inline const ir::OpId kAccess = ir::OpId::get("csl_stencil.access");
 inline const ir::OpId kYield = ir::OpId::get("csl_stencil.yield");
-
-void registerDialect(ir::Context &ctx);
 
 /**
  * csl_stencil.prefetch: fetch remote data described by the exchanges into

@@ -4,35 +4,6 @@
 
 namespace wsc::dialects::csl_wrapper {
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("csl_wrapper"))
-        return;
-    registerSimpleOp(ctx, kModule, {
-        .numOperands = 0,
-        .numResults = 0,
-        .numRegions = 2,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kWidth) || !op->attr(ir::attrs::kHeight))
-                return "csl_wrapper.module requires width/height";
-            if (!op->attr(ir::attrs::kParams))
-                return "csl_wrapper.module requires params";
-            if (op->region(0).empty() || op->region(1).empty())
-                return "csl_wrapper.module requires layout and program "
-                       "blocks";
-            if (op->region(0).front().numArguments() != 4)
-                return "layout block must take (x, y, width, height)";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kImport, {.numResults = 1});
-    registerSimpleOp(ctx, kParam, {.numOperands = 0, .numResults = 1});
-    registerSimpleOp(ctx, kYield,
-                     {.numResults = 0, .numRegions = 0,
-                      .isTerminator = true});
-}
-
 ir::Operation *
 createModule(ir::OpBuilder &b, int64_t width, int64_t height,
              const std::vector<Param> &params,

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::csl_wrapper {
 
@@ -35,8 +35,6 @@ struct Param
     std::string name;
     int64_t value = 0;
 };
-
-void registerDialect(ir::Context &ctx);
 
 /**
  * Create a csl_wrapper.module of the given fabric extent with the given

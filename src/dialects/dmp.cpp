@@ -4,26 +4,6 @@
 
 namespace wsc::dialects::dmp {
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("dmp"))
-        return;
-    registerSimpleOp(ctx, kSwap, {
-        .numOperands = 1,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kSwaps))
-                return "dmp.swap requires a swaps attribute";
-            if (!op->attr(ir::attrs::kTopology))
-                return "dmp.swap requires a topology attribute";
-            if (op->operand(0).type() != op->result(0).type())
-                return "dmp.swap result type must match operand";
-            return "";
-        },
-    });
-}
-
 ir::Value
 createSwap(ir::OpBuilder &b, ir::Value input,
            const std::vector<Exchange> &swaps, int64_t nx, int64_t ny)

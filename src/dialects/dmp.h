@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::dmp {
 
@@ -27,8 +27,6 @@ struct Exchange
 
     bool operator==(const Exchange &other) const = default;
 };
-
-void registerDialect(ir::Context &ctx);
 
 /**
  * Create dmp.swap on a temp value: declares that before consuming the

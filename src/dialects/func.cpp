@@ -4,36 +4,6 @@
 
 namespace wsc::dialects::func {
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("func"))
-        return;
-    registerSimpleOp(ctx, kFunc, {
-        .numOperands = 0,
-        .numResults = 0,
-        .numRegions = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kSymName))
-                return "func.func requires a sym_name attribute";
-            if (!op->attr(ir::attrs::kFunctionType))
-                return "func.func requires a function_type attribute";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kReturn,
-                     {.numResults = 0, .numRegions = 0,
-                      .isTerminator = true});
-    registerSimpleOp(ctx, kCall, {
-        .numRegions = 0,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kCallee))
-                return "func.call requires a callee attribute";
-            return "";
-        },
-    });
-}
-
 ir::Operation *
 createFunc(ir::OpBuilder &b, const std::string &name,
            const std::vector<ir::Type> &inputs,

@@ -9,15 +9,13 @@
 #include <string>
 #include <vector>
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::func {
 
 inline const ir::OpId kFunc = ir::OpId::get("func.func");
 inline const ir::OpId kReturn = ir::OpId::get("func.return");
 inline const ir::OpId kCall = ir::OpId::get("func.call");
-
-void registerDialect(ir::Context &ctx);
 
 /**
  * Create a func.func with the given symbol name and signature; the entry

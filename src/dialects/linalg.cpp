@@ -4,23 +4,11 @@
 
 namespace wsc::dialects::linalg {
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("linalg"))
-        return;
-    for (ir::OpId name : {kAdd, kSub, kMul, kDiv})
-        registerSimpleOp(ctx, name, {.numOperands = 3, .numResults = 0});
-    registerSimpleOp(ctx, kFill, {.numOperands = 2, .numResults = 0});
-    registerSimpleOp(ctx, kCopy, {.numOperands = 2, .numResults = 0});
-    registerSimpleOp(ctx, kFmac, {.numOperands = 4, .numResults = 0});
-}
-
 ir::Operation *
-createBinary(ir::OpBuilder &b, const std::string &name, ir::Value lhs,
-             ir::Value rhs, ir::Value out)
+createBinary(ir::OpBuilder &b, ir::OpId op, ir::Value lhs, ir::Value rhs,
+             ir::Value out)
 {
-    return b.create(name, {lhs, rhs, out}, {});
+    return b.create(op, {lhs, rhs, out}, {});
 }
 
 ir::Operation *

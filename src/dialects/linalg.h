@@ -11,7 +11,7 @@
 #ifndef WSC_DIALECTS_LINALG_H
 #define WSC_DIALECTS_LINALG_H
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::linalg {
 
@@ -27,11 +27,9 @@ inline const ir::OpId kCopy = ir::OpId::get("linalg.copy");
  */
 inline const ir::OpId kFmac = ir::OpId::get("linalg.fmac");
 
-void registerDialect(ir::Context &ctx);
-
 /** Binary DPS op: op(ins[0], ins[1]) -> out. */
-ir::Operation *createBinary(ir::OpBuilder &b, const std::string &name,
-                            ir::Value lhs, ir::Value rhs, ir::Value out);
+ir::Operation *createBinary(ir::OpBuilder &b, ir::OpId op, ir::Value lhs,
+                            ir::Value rhs, ir::Value out);
 
 /** linalg.fill(scalar) -> out. */
 ir::Operation *createFill(ir::OpBuilder &b, ir::Value scalar, ir::Value out);

@@ -4,27 +4,6 @@
 
 namespace wsc::dialects::memref {
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("memref"))
-        return;
-    registerSimpleOp(ctx, kAlloc, {
-        .numOperands = 0,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!ir::isMemRef(op->result(0).type()))
-                return "memref.alloc result must be a memref";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kDealloc, {.numOperands = 1, .numResults = 0});
-    registerSimpleOp(ctx, kCopy, {.numOperands = 2, .numResults = 0});
-    registerSimpleOp(ctx, kSubview, {.minOperands = 1, .numResults = 1});
-    registerSimpleOp(ctx, kLoad, {.minOperands = 1, .numResults = 1});
-    registerSimpleOp(ctx, kStore, {.minOperands = 2, .numResults = 0});
-}
-
 ir::Value
 createAlloc(ir::OpBuilder &b, ir::Type memrefType)
 {

@@ -7,7 +7,7 @@
 #ifndef WSC_DIALECTS_MEMREF_H
 #define WSC_DIALECTS_MEMREF_H
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::memref {
 
@@ -17,8 +17,6 @@ inline const ir::OpId kCopy = ir::OpId::get("memref.copy");
 inline const ir::OpId kSubview = ir::OpId::get("memref.subview");
 inline const ir::OpId kLoad = ir::OpId::get("memref.load");
 inline const ir::OpId kStore = ir::OpId::get("memref.store");
-
-void registerDialect(ir::Context &ctx);
 
 /** Allocate a buffer of the given memref type. */
 ir::Value createAlloc(ir::OpBuilder &b, ir::Type memrefType);

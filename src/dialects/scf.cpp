@@ -4,40 +4,6 @@
 
 namespace wsc::dialects::scf {
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("scf"))
-        return;
-    registerSimpleOp(ctx, kFor, {
-        .minOperands = 3,
-        .numRegions = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            unsigned n_iter = op->numOperands() - 3;
-            if (op->numResults() != n_iter)
-                return "scf.for result count must match iter_args";
-            if (op->region(0).empty())
-                return "scf.for requires a body block";
-            ir::Block &body = op->region(0).front();
-            if (body.numArguments() != n_iter + 1)
-                return "scf.for body must take (iv, iterArgs...)";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kIf, {
-        .numOperands = 1,
-        .numRegions = 2,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (op->region(0).empty())
-                return "scf.if requires a then block";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kYield,
-                     {.numResults = 0, .numRegions = 0,
-                      .isTerminator = true});
-}
-
 ir::Operation *
 createFor(ir::OpBuilder &b, ir::Value lb, ir::Value ub, ir::Value step,
           const std::vector<ir::Value> &iterInits)

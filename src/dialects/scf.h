@@ -8,15 +8,13 @@
 #ifndef WSC_DIALECTS_SCF_H
 #define WSC_DIALECTS_SCF_H
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::scf {
 
 inline const ir::OpId kFor = ir::OpId::get("scf.for");
 inline const ir::OpId kIf = ir::OpId::get("scf.if");
 inline const ir::OpId kYield = ir::OpId::get("scf.yield");
-
-void registerDialect(ir::Context &ctx);
 
 /**
  * Create an scf.for loop. Operands are (lb, ub, step, iterInits...); the

@@ -23,64 +23,6 @@ packBounds(const Bounds &bounds)
 
 } // namespace
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("stencil"))
-        return;
-    registerSimpleOp(ctx, kLoad, {
-        .numOperands = 1,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!isFieldType(op->operand(0).type()))
-                return "stencil.load operand must be a field";
-            if (!isTempType(op->result(0).type()))
-                return "stencil.load result must be a temp";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kStore, {
-        .numOperands = 2,
-        .numResults = 0,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!isTempType(op->operand(0).type()))
-                return "stencil.store value must be a temp";
-            if (!isFieldType(op->operand(1).type()))
-                return "stencil.store destination must be a field";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kApply, {
-        .numRegions = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (op->region(0).empty())
-                return "stencil.apply requires a body block";
-            ir::Block &body = op->region(0).front();
-            if (body.numArguments() != op->numOperands())
-                return "stencil.apply body arguments must match operands";
-            for (unsigned i = 0; i < op->numOperands(); ++i)
-                if (body.argument(i).type() != op->operand(i).type())
-                    return "stencil.apply body argument type mismatch";
-            for (unsigned i = 0; i < op->numResults(); ++i)
-                if (!isTempType(op->result(i).type()))
-                    return "stencil.apply results must be temps";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kAccess, {
-        .numOperands = 1,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (!op->attr(ir::attrs::kOffset))
-                return "stencil.access requires an offset attribute";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kReturn,
-                     {.numResults = 0, .numRegions = 0,
-                      .isTerminator = true});
-}
-
 ir::Type
 getFieldType(ir::Context &ctx, const Bounds &bounds, ir::Type elementType)
 {

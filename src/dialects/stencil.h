@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::stencil {
 
@@ -46,8 +46,6 @@ struct Bounds
     }
     bool operator==(const Bounds &other) const = default;
 };
-
-void registerDialect(ir::Context &ctx);
 
 /// @name Types
 /// @{

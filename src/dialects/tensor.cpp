@@ -4,27 +4,6 @@
 
 namespace wsc::dialects::tensor {
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("tensor"))
-        return;
-    registerSimpleOp(ctx, kEmpty, {.numOperands = 0, .numResults = 1});
-    registerSimpleOp(ctx, kInsertSlice, {
-        .numOperands = 3,
-        .numResults = 1,
-        .extraVerify = [](ir::Operation *op) -> std::string {
-            if (op->result(0).type() != op->operand(1).type())
-                return "insert_slice result must match dest type";
-            if (!ir::isIndex(op->operand(2).type()))
-                return "insert_slice offset must be index-typed";
-            return "";
-        },
-    });
-    registerSimpleOp(ctx, kExtractSlice,
-                     {.numOperands = 1, .numResults = 1});
-}
-
 ir::Value
 createEmpty(ir::OpBuilder &b, ir::Type tensorType)
 {

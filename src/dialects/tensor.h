@@ -8,15 +8,13 @@
 #ifndef WSC_DIALECTS_TENSOR_H
 #define WSC_DIALECTS_TENSOR_H
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::tensor {
 
 inline const ir::OpId kEmpty = ir::OpId::get("tensor.empty");
 inline const ir::OpId kInsertSlice = ir::OpId::get("tensor.insert_slice");
 inline const ir::OpId kExtractSlice = ir::OpId::get("tensor.extract_slice");
-
-void registerDialect(ir::Context &ctx);
 
 /** Create an uninitialized tensor of the given type. */
 ir::Value createEmpty(ir::OpBuilder &b, ir::Type tensorType);

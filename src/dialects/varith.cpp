@@ -4,34 +4,12 @@
 
 namespace wsc::dialects::varith {
 
-void
-registerDialect(ir::Context &ctx)
-{
-    if (!ctx.markDialectLoaded("varith"))
-        return;
-    for (ir::OpId name : {kAdd, kMul}) {
-        registerSimpleOp(ctx, name, {
-            .minOperands = 1,
-            .numResults = 1,
-            .extraVerify = [](ir::Operation *op) -> std::string {
-                ir::Type t = op->operand(0).type();
-                for (unsigned i = 1; i < op->numOperands(); ++i)
-                    if (op->operand(i).type() != t)
-                        return "varith operand types differ";
-                if (op->result(0).type() != t)
-                    return "varith result type differs";
-                return "";
-            },
-        });
-    }
-}
-
 ir::Value
-createVariadic(ir::OpBuilder &b, const std::string &name,
+createVariadic(ir::OpBuilder &b, ir::OpId op,
                const std::vector<ir::Value> &operands)
 {
     WSC_ASSERT(!operands.empty(), "varith op requires operands");
-    return b.create(name, operands, {operands[0].type()})->result();
+    return b.create(op, operands, {operands[0].type()})->result();
 }
 
 } // namespace wsc::dialects::varith

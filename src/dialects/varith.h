@@ -9,17 +9,15 @@
 #ifndef WSC_DIALECTS_VARITH_H
 #define WSC_DIALECTS_VARITH_H
 
-#include "dialects/common.h"
+#include "ir/builder.h"
 
 namespace wsc::dialects::varith {
 
 inline const ir::OpId kAdd = ir::OpId::get("varith.add");
 inline const ir::OpId kMul = ir::OpId::get("varith.mul");
 
-void registerDialect(ir::Context &ctx);
-
 /** Create an n-ary add/mul over same-typed operands. */
-ir::Value createVariadic(ir::OpBuilder &b, const std::string &name,
+ir::Value createVariadic(ir::OpBuilder &b, ir::OpId op,
                          const std::vector<ir::Value> &operands);
 
 } // namespace wsc::dialects::varith

@@ -211,21 +211,13 @@ Context::attrName(AttrNameId id) const
 }
 
 void
-Context::registerOp(OpId id, OpInfo info)
+Context::registerOp(const OpSpec &spec)
 {
+    OpId id = *spec.op;
     WSC_ASSERT(id.valid(), "registerOp with invalid id");
-    if (id.raw() >= opRegistry_.size()) {
-        opRegistry_.resize(id.raw() + 1);
-        registered_.resize(id.raw() + 1, 0);
-    }
-    opRegistry_[id.raw()] = std::move(info);
-    registered_[id.raw()] = 1;
-}
-
-bool
-Context::markDialectLoaded(const std::string &dialect)
-{
-    return loadedDialects_.insert(dialect).second;
+    if (id.raw() >= opRegistry_.size())
+        opRegistry_.resize(id.raw() + 1, nullptr);
+    opRegistry_[id.raw()] = &spec;
 }
 
 } // namespace wsc::ir

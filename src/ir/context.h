@@ -1,7 +1,7 @@
 /**
  * @file
  * The Context owns all uniqued IR objects (types, attributes) and the
- * registry of known operations with their verification hooks.
+ * registry of known operations, each described by a static OpSpec row.
  *
  * Operation names are interned process-wide into dense OpId handles so
  * that op identity tests compile down to an integer compare and the
@@ -14,10 +14,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <iosfwd>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -50,9 +48,6 @@ class OpId
 
     /** The interned spelling; storage lives for the whole process. */
     const std::string &str() const;
-
-    /** Implicit view for APIs that take the op name as a string. */
-    operator const std::string &() const { return str(); }
 
     bool valid() const { return id_ != kInvalid; }
     uint32_t raw() const { return id_; }
@@ -184,16 +179,29 @@ inline constexpr AttrNameId kAccesses{48};
 
 } // namespace attrs
 
-/** Static information registered for each operation name. */
-struct OpInfo
+/** An attribute an op must carry, and the message when it is missing. */
+struct RequiredAttr
 {
-    /** Whether this op terminates a block. */
+    AttrNameId name;
+    const char *message = nullptr;
+};
+
+/**
+ * One op stated as data. Each dialect keeps a constexpr table of these
+ * rows (src/dialects/all.cpp); ir/verifier.cpp enforces a row in this
+ * order: counts, then `attrs` in row order, then `verify`.
+ */
+struct OpSpec
+{
+    const OpId *op = nullptr; ///< the dialect's interned op constant
+    int numOperands = -1;     ///< exact count, -1 = any
+    int minOperands = -1;     ///< minimum (used when numOperands == -1)
+    int numResults = -1;      ///< exact count, -1 = any
+    int numRegions = 0;       ///< exact region count
     bool isTerminator = false;
-    /**
-     * Op-specific structural verifier. Returns an empty string on success
-     * or a diagnostic message on failure.
-     */
-    std::function<std::string(Operation *)> verify;
+    RequiredAttr attrs[3] = {}; ///< unused slots have no message
+    /** Semantic check, run last; returns "" or a diagnostic message. */
+    std::string (*verify)(Operation *) = nullptr;
 };
 
 /**
@@ -249,9 +257,9 @@ class Context
      * pooled context (service/context_pool.h) serves repeat compiles
      * with zero page re-faulting and plateaued memory.
      *
-     * What survives a reset: the op registry, the loaded-dialect marks
-     * (dialects register process-stable OpIds and stateless hooks, so
-     * re-registration is unnecessary) and the arena's pages.
+     * What survives a reset: the op registry (pointers to static spec
+     * rows under process-stable OpIds, so re-registration is
+     * unnecessary) and the arena's pages.
      *
      * Contract: every IR object built in this context (all OwningOp
      * modules, detached ops, printers holding Values) must already be
@@ -308,32 +316,16 @@ class Context
     const std::string &attrName(AttrNameId id) const;
     /// @}
 
-    /** Register an operation with its static info (dialect-load time). */
-    void registerOp(OpId id, OpInfo info);
-    void registerOp(const std::string &name, OpInfo info)
+    /** Register `spec` (a static table row) under its op's id. */
+    void registerOp(const OpSpec &spec);
+    /** The op's spec; nullptr for unregistered ops. */
+    const OpSpec *opInfo(OpId id) const
     {
-        registerOp(OpId::get(name), std::move(info));
-    }
-    /** Look up op info; returns nullptr for unregistered ops. */
-    const OpInfo *opInfo(OpId id) const
-    {
-        return id.raw() < opRegistry_.size() && registered_[id.raw()]
-                   ? &opRegistry_[id.raw()]
-                   : nullptr;
-    }
-    const OpInfo *opInfo(const std::string &name) const
-    {
-        return opInfo(OpId::get(name));
+        return id.raw() < opRegistry_.size() ? opRegistry_[id.raw()]
+                                             : nullptr;
     }
     /** Whether the op has been registered by some dialect. */
     bool isRegisteredOp(OpId id) const { return opInfo(id) != nullptr; }
-    bool isRegisteredOp(const std::string &name) const
-    {
-        return isRegisteredOp(OpId::get(name));
-    }
-
-    /** Record that a dialect has been loaded (idempotence guard). */
-    bool markDialectLoaded(const std::string &dialect);
 
     /** Install a mutation listener (nullptr to remove). At most one. */
     void setListener(IRListener *listener) { listener_ = listener; }
@@ -380,10 +372,8 @@ class Context
     std::unordered_map<std::string_view, uint32_t> attrNameIds_;
     /** Reusable interning-key buffer; probes allocate nothing. */
     std::string keyScratch_;
-    /** Indexed by OpId::raw(); registered_ marks occupied slots. */
-    std::vector<OpInfo> opRegistry_;
-    std::vector<uint8_t> registered_;
-    std::set<std::string> loadedDialects_;
+    /** Indexed by OpId::raw(); null for unregistered ids. */
+    std::vector<const OpSpec *> opRegistry_;
     IRListener *listener_ = nullptr;
     DiagnosticEngine diagEngine_;
 };

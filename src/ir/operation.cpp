@@ -673,8 +673,8 @@ Operation::walk(const std::function<void(Operation *)> &fn)
 bool
 Operation::isTerminator() const
 {
-    const OpInfo *info = ctx_->opInfo(id_);
-    return info && info->isTerminator;
+    const OpSpec *spec = ctx_->opInfo(id_);
+    return spec && spec->isTerminator;
 }
 
 std::string

@@ -9,6 +9,35 @@ namespace wsc::ir {
 
 namespace {
 
+/**
+ * Check `op` against its registered row: operand, result and region
+ * counts, then required attributes in row order, then the row's
+ * semantic check. Messages are built only on the failure paths.
+ */
+std::string
+checkSpec(Operation *op, const OpSpec &spec)
+{
+    if (spec.numOperands >= 0 &&
+        op->numOperands() != static_cast<unsigned>(spec.numOperands))
+        return "expected " + std::to_string(spec.numOperands) +
+               " operands, got " + std::to_string(op->numOperands());
+    if (spec.minOperands >= 0 &&
+        op->numOperands() < static_cast<unsigned>(spec.minOperands))
+        return "expected at least " + std::to_string(spec.minOperands) +
+               " operands, got " + std::to_string(op->numOperands());
+    if (spec.numResults >= 0 &&
+        op->numResults() != static_cast<unsigned>(spec.numResults))
+        return "expected " + std::to_string(spec.numResults) +
+               " results, got " + std::to_string(op->numResults());
+    if (op->numRegions() != static_cast<unsigned>(spec.numRegions))
+        return "expected " + std::to_string(spec.numRegions) +
+               " regions, got " + std::to_string(op->numRegions());
+    for (const RequiredAttr &a : spec.attrs)
+        if (a.message && !op->attr(a.name))
+            return a.message;
+    return spec.verify ? spec.verify(op) : "";
+}
+
 /** Walks the IR accumulating (op, message) violations. */
 class Verifier
 {
@@ -52,9 +81,8 @@ class Verifier
             }
         }
         // Registered per-op invariants.
-        const OpInfo *info = op->context().opInfo(op->opId());
-        if (info && info->verify) {
-            std::string msg = info->verify(op);
+        if (const OpSpec *spec = op->context().opInfo(op->opId())) {
+            std::string msg = checkSpec(op, *spec);
             if (!msg.empty())
                 error(op, std::move(msg));
         }

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "dialects/all.h"
 #include "interp/csl_interpreter.h"
 #include "ir/module_hash.h"
 #include "ir/verifier.h"
@@ -108,11 +107,6 @@ makeCacheKey(const ir::ModuleFingerprint &fp, const CompileRequest &request)
 
 CompileService::CompileService(ServiceConfig config)
     : config_(std::move(config)),
-      pool_(config_.contextSetup
-                ? config_.contextSetup
-                : [](ir::Context &ctx) {
-                      dialects::registerAllDialects(ctx);
-                  }),
       cache_(config_.cacheCapacity)
 {
     int threads = std::max(1, config_.threads);
@@ -212,8 +206,7 @@ CompileService::runJob(CompileRequest request)
                 std::string("internal error: ") + e.what()));
         }
 
-        if (module && config_.verifyFrontendOutput &&
-            ir::failed(ir::verify(module.get()))) {
+        if (module && ir::failed(ir::verify(module.get()))) {
             stage = "verify";
             module = ir::OwningOp();
         }

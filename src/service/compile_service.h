@@ -127,13 +127,6 @@ struct ServiceConfig
     int threads = 1;
     /** Artifact-cache capacity bound (entries). */
     size_t cacheCapacity = 1024;
-    /** Run the IR verifier on frontend output before the pipeline. */
-    bool verifyFrontendOutput = true;
-    /**
-     * Per-context setup for fresh pool contexts; defaults to
-     * dialects::registerAllDialects when left empty.
-     */
-    std::function<void(ir::Context &)> contextSetup;
 };
 
 /** Monotonic service counters (one snapshot; relaxed reads). */

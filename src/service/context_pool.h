@@ -21,12 +21,12 @@
 #define WSC_SERVICE_CONTEXT_POOL_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
+#include "dialects/all.h"
 #include "ir/context.h"
 
 namespace wsc::service {
@@ -35,16 +35,6 @@ namespace wsc::service {
 class ContextPool
 {
   public:
-    /**
-     * `setup` runs once per freshly constructed context (typically
-     * dialects::registerAllDialects); recycled contexts skip it because
-     * reset() preserves the op registry.
-     */
-    explicit ContextPool(std::function<void(ir::Context &)> setup)
-        : setup_(std::move(setup))
-    {
-    }
-
     /** RAII lease: returns (and resets) the context on destruction. */
     class Lease
     {
@@ -92,7 +82,11 @@ class ContextPool
         std::unique_ptr<ir::Context> ctx_;
     };
 
-    /** Pop a recycled context, or construct (and set up) a fresh one. */
+    /**
+     * Pop a recycled context, or construct a fresh one with every dialect
+     * registered (recycled contexts keep theirs: reset() preserves the op
+     * registry).
+     */
     Lease
     acquire()
     {
@@ -107,8 +101,7 @@ class ContextPool
             ++created_;
         }
         auto ctx = std::make_unique<ir::Context>();
-        if (setup_)
-            setup_(*ctx);
+        dialects::registerAllDialects(*ctx);
         return Lease(this, std::move(ctx));
     }
 
@@ -149,7 +142,6 @@ class ContextPool
         free_.push_back(std::move(ctx));
     }
 
-    std::function<void(ir::Context &)> setup_;
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<ir::Context>> free_;
     uint64_t created_ = 0;

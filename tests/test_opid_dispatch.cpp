@@ -43,9 +43,6 @@ TEST(OpIdTest, DialectConstantsSpellTheirNames)
 {
     EXPECT_EQ(ar::kConstant.str(), "arith.constant");
     EXPECT_EQ(csl::kModule.str(), "csl.module");
-    // Implicit string view keeps string-based APIs source-compatible.
-    std::string spelled = csl::kFadds;
-    EXPECT_EQ(spelled, "csl.fadds");
 }
 
 TEST_F(IrTest, OperationCarriesInternedIdentity)
